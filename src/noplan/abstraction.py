@@ -22,6 +22,7 @@ from .errors import (
     LatticeError,
     LatticeSpecError,
     ModelError,
+    PipelineError,
     ProjectionRelationError,
     ResourceExhaustedError,
     RootSolvableError,
@@ -273,7 +274,11 @@ def find_explanatory_fluents(lat: AbstractionLattice,
             ordered = sorted(updates, key=ModelUpdate.sort_key)
             # the heap key must be the realized cost, or the first hit
             # would not be the cheapest
-            assert len(ordered) == cost, "group update costs are not additive"
+            if len(ordered) != cost:
+                raise PipelineError(
+                    f"group update costs are not additive: {names} realize "
+                    f"{len(ordered)} updates, expected {cost}"
+                )
             return ExplanatorySet(candidate, len(ordered), tuple(ordered))
         for j in range(frontier + 1, len(universe)):
             g = universe[j]
@@ -307,13 +312,20 @@ def load_lattice_spec(text: str) -> LatticeSpec:
     if not isinstance(data, dict) or "groups" not in data:
         raise LatticeSpecError("lattice spec must be an object with a 'groups' list")
     groups = []
+    owner: dict[str, str] = {}
     for item in data["groups"]:
         if not isinstance(item, dict) or "name" not in item or "predicates" not in item:
             raise LatticeSpecError("each group needs 'name' and 'predicates'")
+        name = str(item["name"])
         preds = tuple(str(p) for p in item["predicates"])
         if not preds:
-            raise LatticeSpecError(f"group {item['name']} lists no predicates")
-        groups.append((str(item["name"]), preds))
+            raise LatticeSpecError(f"group {name} lists no predicates")
+        for p in preds:
+            if owner.setdefault(p, name) != name:
+                raise LatticeSpecError(
+                    f"predicate {p} is listed by groups {owner[p]} and {name}"
+                )
+        groups.append((name, preds))
     forbidden = tuple(
         frozenset(str(n) for n in combo) for combo in data.get("forbidden", [])
     )

@@ -459,8 +459,13 @@ def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
             )
             meta_map[name] = (a.name, t)
 
+    # k counts disjuncts over every guard transition between the same two
+    # states, so two formula transitions a->b get distinct action names
+    guard_count: dict[tuple[str, str], int] = {}
     for t in sorted(fsa.guard_transitions(), key=lambda t: (t.source, t.target)):
-        for k, disjunct in enumerate(t.label.formula.sorted_disjuncts()):
+        for disjunct in t.label.formula.sorted_disjuncts():
+            k = guard_count.get((t.source, t.target), 0)
+            guard_count[(t.source, t.target)] = k + 1
             name = f"guard--{t.source}--{t.target}--{k}"
             if t.source == t.target:
                 eff = Effect(frozenset(), frozenset(), frozenset({accept_fluent}))

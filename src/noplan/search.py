@@ -1,10 +1,16 @@
 """Solvability decisions and exhaustive plan enumeration.
 
-decide_solvable runs a best-first forward search with duplicate
-detection over the (finite) state space. The additive delete-relaxation
-heuristic orders expansions but never prunes, so "unsolvable" is exact:
-it is only reported once the open list is exhausted. Budgets turn an
-undecided search into a resource-exhausted result, never a wrong answer.
+decide_solvable first computes, once per call, the atoms reachable under
+the delete relaxation (Bonet & Geffner, "Planning as heuristic search",
+AIJ 2001), counting an effect's condition as a precondition of its adds.
+A goal outside that set is unreachable in the task too, so the answer is
+"unsolvable" without expanding a state. Otherwise a breadth-first search
+with duplicate detection runs over the (finite) state space, using only
+the actions whose preconditions lie inside the set: no other action is
+ever applicable. "Unsolvable" is exact, reported once the queue is
+exhausted, and a solvable result carries the first shortest plan in
+model action order. Budgets turn an undecided search into a
+resource-exhausted result, never a wrong answer.
 
 enumerate_plans is the brute-force oracle used by the property suite:
 it walks every applicable action sequence up to a length bound and
@@ -13,9 +19,8 @@ collects exactly the valid plans.
 
 from __future__ import annotations
 
-import heapq
-import math
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import EnumerationBudgetError
@@ -47,84 +52,47 @@ class SearchResult:
         return self.status == EXHAUSTED
 
 
-def additive_heuristic(m: PlanningModel):
-    """Precompile an h_add evaluator for m.
-
-    Returns a callable state -> float estimating remaining cost under
-    the delete relaxation; math.inf when the goal is relaxed-unreachable.
-    """
-    acts = []
-    for a in m.actions:
-        effs = [(tuple(e.condition), tuple(e.adds)) for e in a.effects if e.adds]
-        if effs:
-            acts.append((tuple(a.prec), effs))
-    goal = tuple(m.goal)
-
-    def h(state: State) -> float:
-        cost: dict[int, int] = dict.fromkeys(state, 0)
-        changed = True
-        while changed:
-            changed = False
-            for prec, effs in acts:
-                base = 0
-                for p in prec:
-                    c = cost.get(p)
-                    if c is None:
-                        base = -1
-                        break
-                    base += c
-                if base < 0:
-                    continue
-                for cond, adds in effs:
-                    total = base
-                    for p in cond:
-                        c = cost.get(p)
-                        if c is None:
-                            total = -1
-                            break
-                        total += c
-                    if total < 0:
-                        continue
-                    total += 1
-                    for f in adds:
-                        old = cost.get(f)
-                        if old is None or total < old:
-                            cost[f] = total
-                            changed = True
-        score = 0
-        for g in goal:
-            c = cost.get(g)
-            if c is None:
-                return math.inf
-            score += c
-        return float(score)
-
-    return h
+def _relaxed_reachable(m: PlanningModel) -> set[int]:
+    """Atoms reachable from init when deletes are ignored."""
+    reached = set(m.init)
+    changed = True
+    while changed:
+        changed = False
+        for a in m.actions:
+            if a.prec <= reached:
+                for e in a.effects:
+                    if e.condition <= reached and not e.adds <= reached:
+                        reached |= e.adds
+                        changed = True
+    return reached
 
 
 def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None) -> SearchResult:
     """Decide whether m has a valid plan; exact unless a budget trips.
 
-    Tie-breaking is (heuristic value, insertion order), so the returned
-    plan is deterministic for a fixed model.
+    A solvable result holds the first shortest plan, with successors
+    generated in model action order, so it is deterministic for a fixed
+    model.
     """
     limits = limits or SearchLimits()
     if m.goal <= m.init:
         return SearchResult(SOLVABLE, ())
-    h = additive_heuristic(m)
+    reached = _relaxed_reachable(m)
+    if not m.goal <= reached:
+        return SearchResult(UNSOLVABLE)
+    actions = [a for a in m.actions if a.prec <= reached]
     deadline = time.monotonic() + limits.max_seconds
-    counter = 0
-    open_list: list[tuple[float, int, State]] = [(h(m.init), counter, m.init)]
+    queue: deque[State] = deque([m.init])
     parent: dict[State, tuple[State, str] | None] = {m.init: None}
     expanded = 0
-    while open_list:
+    while queue:
         if expanded >= limits.max_nodes:
             return SearchResult(EXHAUSTED, None, f"node budget {limits.max_nodes} reached")
         if time.monotonic() > deadline:
             return SearchResult(EXHAUSTED, None, f"time budget {limits.max_seconds}s reached")
-        _, _, state = heapq.heappop(open_list)
+        state = queue.popleft()
         expanded += 1
-        for a in m.actions:
+        for a in actions:
             if not a.prec <= state:
                 continue
             succ = apply_action(state, a)
@@ -133,8 +101,7 @@ def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None) -> Sea
             parent[succ] = (state, a.name)
             if m.goal <= succ:
                 return SearchResult(SOLVABLE, _reconstruct(parent, succ))
-            counter += 1
-            heapq.heappush(open_list, (h(succ), counter, succ))
+            queue.append(succ)
     return SearchResult(UNSOLVABLE)
 
 

@@ -282,6 +282,30 @@ def test_compose_unresolved_label():
         compose(m, bad)
 
 
+def test_compose_two_guards_between_same_states(norocks):
+    loops = [
+        {"from": s, "to": s, "label": {"action": a}}
+        for s in ("a", "b") for a in ("move_l1_l2", "move_l2_l3")
+    ]
+    text = json.dumps([{
+        "fsa": {
+            "states": ["a", "b"],
+            "initial": "a",
+            "accepting": ["b"],
+            "transitions": loops + [
+                {"from": "a", "to": "b", "label": {"formula": "(at l2)"}},
+                {"from": "a", "to": "b", "label": {"formula": "(at l3)"}},
+            ],
+        }
+    }])
+    fsa = parse_advice(text, norocks)
+    cm = compose(norocks, fsa)
+    guards = sorted(n for n in cm.meta_action_map if n.startswith("guard--"))
+    assert guards == ["guard--s0__a--s0__b--0", "guard--s0__a--s0__b--1"]
+    left, right = _language_equal(norocks, fsa, base_len=4)
+    assert left == right == {("move_l1_l2", "move_l2_l3")}
+
+
 def test_strip_meta_identity_under_universal(norocks):
     fsa = universal_fsa(norocks)
     cm = compose(norocks, fsa)

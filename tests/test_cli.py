@@ -70,6 +70,24 @@ def test_explain_input_error_exit_two(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_explain_lattice_predicate_in_two_groups_exit_two(tmp_path, capsys):
+    spec = tmp_path / "lattice.json"
+    spec.write_text(json.dumps({"groups": [
+        {"name": "rocks", "predicates": ["clear"]},
+        {"name": "more-rocks", "predicates": ["clear", "conn"]},
+    ]}))
+    code = main([
+        "explain",
+        "--domain", str(MINIROVER / "domain.pddl"),
+        "--problem", str(MINIROVER / "problem.pddl"),
+        "--lattice", str(spec),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "clear" in err
+    assert err.count("\n") == 1
+
+
 def test_explain_budget_exit_three(capsys):
     code = main([
         "explain",

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +6,6 @@ from noplan.errors import EnumerationBudgetError
 from noplan.model import validate_plan
 from noplan.search import (
     SearchLimits,
-    additive_heuristic,
     decide_solvable,
     enumerate_plans,
     reachable_states,
@@ -66,45 +63,43 @@ def test_enumerate_budget():
         enumerate_plans(m, 10, max_nodes=5)
 
 
-def test_additive_heuristic_values(norocks):
-    h = additive_heuristic(norocks)
-    assert h(norocks.init) == 2.0  # two moves to reach at_l3 under relaxation
-    goal_state = frozenset(
-        {f for f in norocks.fluents if norocks.table.canonical(f) != "at_l1"}
-    )
-    assert h(goal_state) == 0.0
-
-
-def test_additive_heuristic_unreachable_is_inf(minirover):
-    h = additive_heuristic(minirover)
-    assert math.isinf(h(minirover.init))
-
-
 @st.composite
 def micro_models(draw):
     n = draw(st.integers(3, 6))
     names = [f"f{i}" for i in range(n)]
     subset = st.lists(st.sampled_from(names), max_size=2, unique=True)
+    nonempty = st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)
     actions = []
     for i in range(draw(st.integers(1, 4))):
         prec = draw(subset)
-        adds = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+        adds = draw(nonempty)
         dels = [f for f in draw(subset) if f not in adds]
-        actions.append((f"a{i}", prec, adds, dels))
+        effects = [([], adds, dels)]
+        if draw(st.booleans()):
+            cond_adds = draw(subset)
+            cond_dels = [f for f in draw(subset) if f not in cond_adds]
+            effects.append((draw(nonempty), cond_adds, cond_dels))
+        actions.append((f"a{i}", prec, effects))
     init = draw(subset)
-    goal = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    goal = draw(nonempty)
     return build_model(names, actions, init, goal)[0]
 
 
 @given(micro_models())
 @settings(max_examples=60, deadline=None)
 def test_oracle_agreement(m):
-    bound = len(reachable_states(m))
-    plans = enumerate_plans(m, bound, max_nodes=4_000_000)
+    states = reachable_states(m)
     result = decide_solvable(m)
-    assert result.solvable == bool(plans)
     if result.solvable:
         assert validate_plan(m, result.plan).valid
+        # no plan is shorter than the one found
+        plans = enumerate_plans(m, len(result.plan), max_nodes=4_000_000)
+        assert min(len(p) for p in plans) == len(result.plan)
+    else:
+        # covers the relaxed early exit as well as a search that empties its queue
+        assert result.status == "unsolvable"
+        assert not any(m.goal <= s for s in states)
+        assert enumerate_plans(m, len(states), max_nodes=4_000_000) == set()
 
 
 @given(micro_models())
