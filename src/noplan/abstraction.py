@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import threading
 from dataclasses import dataclass
 
 from .errors import (
@@ -136,7 +135,6 @@ class AbstractionLattice:
         self._nodes: dict[frozenset[str], LatticeNode] = {
             frozenset(): LatticeNode(frozenset(), root)
         }
-        self._lock = threading.Lock()
 
     @property
     def root_node(self) -> LatticeNode:
@@ -152,12 +150,11 @@ class AbstractionLattice:
             raise LatticeError(f"unknown groups {unknown}")
         if not self.allowed(projected):
             raise LatticeError(f"projected set {sorted(projected)} is forbidden")
-        with self._lock:
-            node = self._nodes.get(projected)
-            if node is None:
-                gone = frozenset().union(*(self.groups[g].members for g in projected))
-                node = LatticeNode(projected, project_model(self.root, gone))
-                self._nodes[projected] = node
+        node = self._nodes.get(projected)
+        if node is None:
+            gone = frozenset().union(*(self.groups[g].members for g in projected))
+            node = LatticeNode(projected, project_model(self.root, gone))
+            self._nodes[projected] = node
         return node
 
     def all_projected_sets(self) -> list[frozenset[str]]:

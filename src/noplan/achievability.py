@@ -3,15 +3,21 @@
 For a landmark graph and a target landmark, the compiled model extends
 the base model with three bookkeeping fluents per landmark: achieved
 (set once a landmark has been reached in order, never removed), unset
-(still pending) and first-time (just reached). Every action receives
-conditional effects that fire when one of its add effects completes a
-disjunct of a landmark while the landmark's ordering predecessors hold:
-necessary predecessors must hold in the pre-state for any achievement,
-greedy-necessary ones for the first achievement, natural ones must have
-been achieved earlier. A self-conditioned delete clears the first-time
-flag on the next action, so a plan for the compiled goal must stop once
-the target landmark has just been achieved. Solvability of the compiled
-model is exactly achievability of the landmark under all orderings.
+(still pending) and first-time (just reached). An action receives
+tracking effects only for the landmarks it can complete, those with an
+atom among its adds; they fire when one of its add effects completes a
+disjunct of the landmark while the landmark's ordering predecessors
+hold: necessary predecessors must hold in the pre-state for any
+achievement, greedy-necessary ones for the first achievement, natural
+ones must have been achieved earlier. A self-conditioned delete clears
+the first-time flag on the next action, so a plan for the compiled goal
+must stop once the target landmark has just been achieved. Solvability
+of the compiled model is exactly achievability of the landmark under
+all orderings.
+
+The target landmark only sets the goal (its first-time flag), so the
+failure scan compiles once per scan and swaps the goal for each
+landmark it tests.
 
 Predecessor formulas enter the conditions by DNF expansion (one clause
 per combination of predecessor disjuncts), capped at 64 clauses per
@@ -22,7 +28,7 @@ not enforced for that action and a warning is logged.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ModelError, ResourceExhaustedError
 from .landmarks import (
@@ -88,21 +94,25 @@ def compile_achievability(m: PlanningModel, lg: LandmarkGraph,
                   for lm in lg.landmarks}
     nat_preds = {lm.id: [ach[p.id] for p in lg.predecessors(lm.id, NATURAL)]
                  for lm in lg.landmarks}
+    lm_fluents = [(lm, lm.formula.fluents) for lm in lg.landmarks]
+    self_dels = tuple(
+        Effect(frozenset({fta[lm.id]}), frozenset(), frozenset({fta[lm.id]}))
+        for lm in lg.landmarks
+    )
 
     actions = []
     for a in m.actions:
+        adds = a.adds
         extra: dict[Effect, None] = {}
-        for lm in lg.landmarks:
+        for lm, lm_atoms in lm_fluents:
+            if not adds & lm_atoms:
+                continue  # completion_pairs would find nothing
             clauses = _tracking_clauses(
                 a, lm, ach, unset, fta,
                 nec_preds[lm.id], gnec_preds[lm.id], nat_preds[lm.id],
             )
             for eff in clauses:
                 extra.setdefault(eff, None)
-        self_dels = tuple(
-            Effect(frozenset({fta[lm.id]}), frozenset(), frozenset({fta[lm.id]}))
-            for lm in lg.landmarks
-        )
         actions.append(Action(a.name, a.prec, a.effects + tuple(extra) + self_dels))
 
     goal = frozenset({fta[phi.id]})
@@ -203,13 +213,16 @@ def first_unachievable(m: PlanningModel, lg: LandmarkGraph, seq,
     The model must be unsolvable. When every extracted landmark is still
     achievable, the goal conjunction itself is tested and returned as a
     final-goal failure, which is guaranteed to trigger on an unsolvable
-    model.
+    model. The graph is compiled once; each step only swaps the goal.
     """
     seq = list(seq)
     extended, pseudo = final_goal_landmark(m, lg)
+    shared = compile_achievability(m, extended, pseudo)
     for i, lm in enumerate(seq + [pseudo]):
-        compiled = compile_achievability(m, extended, lm)
-        result = decide_solvable(compiled, limits)
+        if not extended.contains(lm):
+            raise ModelError(f"landmark {lm.id} is not part of the graph")
+        goal = frozenset({shared.table.id_of(f"first-time-lm{lm.id}")})
+        result = decide_solvable(replace(shared, goal=goal), limits)
         if result.exhausted:
             raise ResourceExhaustedError(
                 f"achievability of landmark {lm.id}: {result.detail}"

@@ -8,6 +8,9 @@ the check by alternation: action moves are only available from a state
 that a fresh guard certification just reached, so a run that cannot
 certify dies. Negated conditions inside templates are expressed through
 complement fluents, which the compilation materializes and maintains.
+An action that deletes an atom in one effect and may add it back in
+another, depending on the state, leaves its complement undetermined;
+advice that needs that complement is rejected with an AdviceError.
 
 Composing an automaton with a model yields a model whose plans are, up
 to bookkeeping steps, exactly the base plans the automaton accepts: one
@@ -19,6 +22,7 @@ accept fluent again, so the accept step is only useful last.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -35,6 +39,7 @@ from .model import (
     validate_plan,
 )
 from .pddl import parse_ground_formula
+from .search import relaxed_reachable
 
 logger = logging.getLogger(__name__)
 
@@ -386,6 +391,42 @@ class ConstrainedModel:
     meta_action_map: dict  # compiled name -> (base name | None, Transition | None)
 
 
+def _maintain_complements(a: Action, complements: dict[int, int], table,
+                          reachable) -> Action:
+    """a with each complement n of p deleted where p is added and added where p is deleted.
+
+    Adds win, so an effect deleting p must not add n when another effect
+    adds p in the same step. When some adding effect fires whenever the
+    deleting one does (its condition lies within the deleting effect's
+    condition plus a's precondition), p certainly ends true and the n add
+    is dropped, which is exact. An adding effect that can fire alongside
+    the delete without always doing so cannot be told apart by positive
+    conditions, so the action is rejected; one whose conditions are not
+    jointly reachable under the delete relaxation (``reachable()``)
+    never fires alongside and changes nothing.
+    """
+    effects = []
+    for e in a.effects:
+        adds, dels = set(e.adds), set(e.dels)
+        for p, n in complements.items():
+            if p in e.adds:
+                dels.add(n)
+            if p not in e.dels:
+                continue
+            adders = [o for o in a.effects if p in o.adds]
+            if any(o.condition <= e.condition | a.prec for o in adders):
+                continue
+            if any(e.condition | o.condition | a.prec <= reachable() for o in adders):
+                raise AdviceError(
+                    f"advice needs the complement of {table.canonical(p)}, but "
+                    f"action {a.name} deletes {table.canonical(p)} in one effect "
+                    f"and may add it in another"
+                )
+            adds.add(n)
+        effects.append(Effect(e.condition, frozenset(adds), frozenset(dels)))
+    return Action(a.name, a.prec, tuple(effects))
+
+
 def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
     """Compile automaton x model so that plans = accepted base plans."""
     for t in fsa.transitions:
@@ -415,19 +456,9 @@ def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
         for p, n in complements.items():
             if p not in m.init:
                 init.add(n)
-        maintained = []
-        for a in base_actions:
-            effects = []
-            for e in a.effects:
-                adds, dels = set(e.adds), set(e.dels)
-                for p, n in complements.items():
-                    if p in e.adds:
-                        dels.add(n)
-                    if p in e.dels:
-                        adds.add(n)
-                effects.append(Effect(e.condition, frozenset(adds), frozenset(dels)))
-            maintained.append(Action(a.name, a.prec, tuple(effects)))
-        base_actions = maintained
+        reachable = functools.cache(lambda: relaxed_reachable(m))
+        base_actions = [_maintain_complements(a, complements, table, reachable)
+                        for a in base_actions]
 
     in_state = {s: table.intern(f"in-state-{s}") for s in sorted(fsa.states)}
     accept_fluent = table.intern(GOAL_ACCEPT)

@@ -16,7 +16,7 @@ keep formulas readable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import CycleError, ModelUnsolvableError
 from .model import DnfFormula, PlanningModel, apply_action, holds
@@ -48,50 +48,30 @@ class Ordering:
 class LandmarkGraph:
     landmarks: tuple[Landmark, ...]
     orderings: tuple[Ordering, ...]
+    _by_id: dict = field(init=False, repr=False, compare=False, default=None)
+    _preds: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        ids = {lm.id for lm in self.landmarks}
+        by_id = {lm.id: lm for lm in self.landmarks}
+        preds: dict[tuple[int, str], list[Landmark]] = {}
         for o in self.orderings:
             if o.source == o.target:
                 raise CycleError("self-loop ordering")
-            if o.source not in ids or o.target not in ids:
+            if o.source not in by_id or o.target not in by_id:
                 raise CycleError("ordering endpoint is not a landmark")
-        _toposort(self)  # raises on cycles
+            preds.setdefault((o.target, o.kind), []).append(by_id[o.source])
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_preds", preds)
+        linearize(self)  # raises on cycles
 
     def by_id(self, lm_id: int) -> Landmark:
-        for lm in self.landmarks:
-            if lm.id == lm_id:
-                return lm
-        raise KeyError(lm_id)
+        return self._by_id[lm_id]
 
     def predecessors(self, lm_id: int, kind: str) -> list[Landmark]:
-        return [self.by_id(o.source) for o in self.orderings
-                if o.target == lm_id and o.kind == kind]
+        return list(self._preds.get((lm_id, kind), ()))
 
     def contains(self, lm: Landmark) -> bool:
         return any(x.id == lm.id and x.formula == lm.formula for x in self.landmarks)
-
-
-def _toposort(g: LandmarkGraph) -> list[int]:
-    indeg = {lm.id: 0 for lm in g.landmarks}
-    succs: dict[int, set[int]] = {lm.id: set() for lm in g.landmarks}
-    for o in g.orderings:
-        if o.target not in succs[o.source]:
-            succs[o.source].add(o.target)
-            indeg[o.target] += 1
-    order = []
-    ready = sorted(i for i, d in indeg.items() if d == 0)
-    while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for s in sorted(succs[n]):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-        ready.sort()
-    if len(order) != len(indeg):
-        raise CycleError("landmark orderings contain a cycle")
-    return order
 
 
 def extract_landmarks(m: PlanningModel, *, check_solvable: bool = True,
@@ -268,7 +248,7 @@ def linearize(g: LandmarkGraph) -> list[Landmark]:
         if o.target not in succs[o.source]:
             succs[o.source].add(o.target)
             indeg[o.target] += 1
-    by_id = {lm.id: lm for lm in g.landmarks}
+    by_id = g._by_id
 
     def key(lm_id: int):
         return (0 if by_id[lm_id].holds_in_init else 1, lm_id)

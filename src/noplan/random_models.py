@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .abstraction import FluentGroup
+from .errors import AdviceError
 from .model import Action, Effect, FluentTable, PlanningModel
 from .search import SearchLimits, decide_solvable
 
@@ -121,7 +122,10 @@ def break_by_advice(rng: random.Random, m: PlanningModel) -> str | None:
              "formula": m.table.fluent(f).sexpr}
         ]))
     for text in candidates:
-        compiled = compose(m, parse_advice(text, m)).compiled
+        try:
+            compiled = compose(m, parse_advice(text, m)).compiled
+        except AdviceError:
+            continue  # the complement of the atom cannot be maintained
         if not _solvable(compiled):
             return text
     return None

@@ -52,7 +52,7 @@ class SearchResult:
         return self.status == EXHAUSTED
 
 
-def _relaxed_reachable(m: PlanningModel) -> set[int]:
+def relaxed_reachable(m: PlanningModel) -> set[int]:
     """Atoms reachable from init when deletes are ignored."""
     reached = set(m.init)
     changed = True
@@ -77,7 +77,7 @@ def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None) -> Sea
     limits = limits or SearchLimits()
     if m.goal <= m.init:
         return SearchResult(SOLVABLE, ())
-    reached = _relaxed_reachable(m)
+    reached = relaxed_reachable(m)
     if not m.goal <= reached:
         return SearchResult(UNSOLVABLE)
     actions = [a for a in m.actions if a.prec <= reached]

@@ -1,10 +1,14 @@
 import logging
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from noplan.abstraction import project_model
 from noplan.achievability import (
+    FailedSubgoal,
     compile_achievability,
+    completion_pairs,
     final_goal_landmark,
     first_unachievable,
 )
@@ -23,6 +27,7 @@ from noplan.search import decide_solvable, reachable_states
 
 from .conftest import build_model
 from .oracles import achievability_oracle
+from .test_search import micro_models
 
 
 def _lm_by_name(m, g, name):
@@ -248,3 +253,56 @@ def test_failed_subgoal_level_attached_by_pipeline(minirover, minirover_spec):
     e = explain(minirover, minirover_spec)
     assert e.failed.level is not None
     assert e.failed.level.projected == frozenset({"conn"})
+
+
+# --- the failure scan's shared compile ----------------------------------------
+
+
+def _scan_per_landmark(m, extended, seq, pseudo):
+    """The failure scan with one compile per landmark, as reference."""
+    for i, lm in enumerate(seq + [pseudo]):
+        if not decide_solvable(compile_achievability(m, extended, lm)).solvable:
+            return FailedSubgoal(lm, tuple(seq[:i]), is_final_goal=lm.id == pseudo.id)
+    return FailedSubgoal(pseudo, tuple(seq), is_final_goal=True)
+
+
+def _check_shared_compile(m):
+    g = extract_landmarks(m, check_solvable=False)
+    extended, pseudo = final_goal_landmark(m, g)
+    shared = compile_achievability(m, extended, pseudo)
+    for lm in extended.landmarks:
+        goal = frozenset({shared.table.id_of(f"first-time-lm{lm.id}")})
+        assert replace(shared, goal=goal) == compile_achievability(m, extended, lm)
+        for a in m.actions:
+            if not a.adds & lm.formula.fluents:
+                assert completion_pairs(a, lm.formula) == []
+    seq = linearize(g)
+    failed = first_unachievable(m, g, seq)
+    assert failed == _scan_per_landmark(m, extended, seq, pseudo)
+    return failed, seq
+
+
+@given(micro_models())
+@settings(max_examples=80, deadline=None)
+def test_shared_compile_matches_per_landmark_compile(m):
+    _check_shared_compile(m)
+
+
+def test_shared_compile_scan_fails_past_the_first_landmark():
+    # the token for p is spent once; p, then q (which consumes p) are
+    # achievable in order, but g needs p and q together
+    m, _ = build_model(
+        ["t", "p", "q", "g"],
+        [
+            ("mk_p", ["t"], ["p"], ["t"]),
+            ("use", ["p"], ["q"], ["p"]),
+            ("fin", ["p", "q"], ["g"], []),
+        ],
+        ["t"],
+        ["g"],
+    )
+    failed, seq = _check_shared_compile(m)
+    names = [{m.table.canonical(f) for f in lm.formula.fluents} for lm in seq]
+    assert names == [{"t"}, {"p"}, {"q"}, {"g"}]
+    assert failed.landmark == seq[3] and not failed.is_final_goal
+    assert failed.achieved_prefix == tuple(seq[:3])

@@ -306,6 +306,58 @@ def test_compose_two_guards_between_same_states(norocks):
     assert left == right == {("move_l1_l2", "move_l2_l3")}
 
 
+def _micro_347():
+    """a3 deletes f3, and adds it back when f0 holds; a1 makes f0."""
+    m, _ = build_model(
+        [f"f{i}" for i in range(7)],
+        [
+            ("a1", [], ["f0"], []),
+            ("a3", [], [([], ["f6"], ["f1", "f3"]), (["f0"], ["f3"], ["f4"])]),
+        ],
+        ["f2"],
+        ["f3"],
+    )
+    return m
+
+
+def test_compose_rejects_delete_with_conditional_readd():
+    # whether f3 survives a3 depends on f0, which no complement tracks;
+    # compose used to keep f3 and not-f3 both and admit the plan a1, a3
+    m = _micro_347()
+    fsa = never_holds(m, _formula(m, "(f3)"))
+    with pytest.raises(AdviceError, match=r"action a3 deletes f3"):
+        compose(m, fsa)
+
+
+def test_compose_readd_that_cannot_fire_is_ignored():
+    # without a1 nothing makes f0, so a3's re-add never fires
+    m, _ = build_model(
+        [f"f{i}" for i in range(7)],
+        [("a3", [], [([], ["f6"], ["f1", "f3"]), (["f0"], ["f3"], ["f4"])])],
+        ["f2"],
+        ["f6"],
+    )
+    fsa = never_holds(m, _formula(m, "(f3)"))
+    left, right = _language_equal(m, fsa, base_len=3)
+    assert left == right
+    assert ("a3",) in left
+
+
+def test_compose_unconditional_add_beats_conditional_delete():
+    """p ends true whenever act fires, so never-holds (p) rules act out."""
+    m, _ = build_model(
+        ["p", "q", "g"],
+        [("act", [], [([], ["p"], []), (["q"], ["g"], ["p"])])],
+        ["q"],
+        ["g"],
+    )
+    fsa = never_holds(m, _formula(m, "(p)"))
+    cm = compose(m, fsa)
+    assert not decide_solvable(cm.compiled).solvable
+    left, right = _language_equal(m, fsa, base_len=3)
+    assert left == right == set()
+
+
 def test_strip_meta_identity_under_universal(norocks):
     fsa = universal_fsa(norocks)
     cm = compose(norocks, fsa)

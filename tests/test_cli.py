@@ -88,6 +88,33 @@ def test_explain_lattice_predicate_in_two_groups_exit_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_explain_advice_on_conditionally_readded_atom_exit_two(tmp_path, capsys):
+    # a3 deletes f3 and re-adds it when f0 holds: never-holds (f3) cannot be compiled
+    d = tmp_path / "d.pddl"
+    d.write_text("""
+    (define (domain micro)
+      (:requirements :strips :conditional-effects)
+      (:predicates (f0) (f1) (f2) (f3) (f4) (f6))
+      (:action a1 :parameters () :effect (f0))
+      (:action a3 :parameters ()
+        :effect (and (f6) (not (f1)) (not (f3)) (when (f0) (and (f3) (not (f4)))))))
+    """)
+    p = tmp_path / "p.pddl"
+    p.write_text("(define (problem micro-347) (:domain micro) (:init (f2)) (:goal (f3)))")
+    spec = tmp_path / "lattice.json"
+    spec.write_text(json.dumps({"groups": [{"name": "g", "predicates": ["f1"]}]}))
+    advice = tmp_path / "advice.json"
+    advice.write_text(json.dumps([{"template": "never-holds", "formula": "(f3)"}]))
+    code = main([
+        "explain", "--domain", str(d), "--problem", str(p),
+        "--lattice", str(spec), "--advice", str(advice),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "a3" in err and "f3" in err
+    assert err.count("\n") == 1
+
+
 def test_explain_budget_exit_three(capsys):
     code = main([
         "explain",
