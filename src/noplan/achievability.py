@@ -28,7 +28,7 @@ not enforced for that action and a warning is logged.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ModelError, ResourceExhaustedError
 from .landmarks import (
@@ -222,7 +222,7 @@ def first_unachievable(m: PlanningModel, lg: LandmarkGraph, seq,
         if not extended.contains(lm):
             raise ModelError(f"landmark {lm.id} is not part of the graph")
         goal = frozenset({shared.table.id_of(f"first-time-lm{lm.id}")})
-        result = decide_solvable(replace(shared, goal=goal), limits)
+        result = decide_solvable(shared.with_goal(goal), limits)
         if result.exhausted:
             raise ResourceExhaustedError(
                 f"achievability of landmark {lm.id}: {result.detail}"

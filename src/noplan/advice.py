@@ -35,6 +35,7 @@ from .model import (
     Effect,
     PlanningModel,
     holds_closed_world,
+    maintain_complements,
     normalize_dnf,
     validate_plan,
 )
@@ -391,42 +392,6 @@ class ConstrainedModel:
     meta_action_map: dict  # compiled name -> (base name | None, Transition | None)
 
 
-def _maintain_complements(a: Action, complements: dict[int, int], table,
-                          reachable) -> Action:
-    """a with each complement n of p deleted where p is added and added where p is deleted.
-
-    Adds win, so an effect deleting p must not add n when another effect
-    adds p in the same step. When some adding effect fires whenever the
-    deleting one does (its condition lies within the deleting effect's
-    condition plus a's precondition), p certainly ends true and the n add
-    is dropped, which is exact. An adding effect that can fire alongside
-    the delete without always doing so cannot be told apart by positive
-    conditions, so the action is rejected; one whose conditions are not
-    jointly reachable under the delete relaxation (``reachable()``)
-    never fires alongside and changes nothing.
-    """
-    effects = []
-    for e in a.effects:
-        adds, dels = set(e.adds), set(e.dels)
-        for p, n in complements.items():
-            if p in e.adds:
-                dels.add(n)
-            if p not in e.dels:
-                continue
-            adders = [o for o in a.effects if p in o.adds]
-            if any(o.condition <= e.condition | a.prec for o in adders):
-                continue
-            if any(e.condition | o.condition | a.prec <= reachable() for o in adders):
-                raise AdviceError(
-                    f"advice needs the complement of {table.canonical(p)}, but "
-                    f"action {a.name} deletes {table.canonical(p)} in one effect "
-                    f"and may add it in another"
-                )
-            adds.add(n)
-        effects.append(Effect(e.condition, frozenset(adds), frozenset(dels)))
-    return Action(a.name, a.prec, tuple(effects))
-
-
 def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
     """Compile automaton x model so that plans = accepted base plans."""
     for t in fsa.transitions:
@@ -457,7 +422,8 @@ def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
             if p not in m.init:
                 init.add(n)
         reachable = functools.cache(lambda: relaxed_reachable(m))
-        base_actions = [_maintain_complements(a, complements, table, reachable)
+        base_actions = [maintain_complements(a, complements, table, reachable,
+                                             AdviceError, "advice")
                         for a in base_actions]
 
     in_state = {s: table.intern(f"in-state-{s}") for s in sorted(fsa.states)}

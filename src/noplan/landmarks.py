@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import CycleError, ModelUnsolvableError
 from .model import DnfFormula, PlanningModel, apply_action, holds
-from .search import SearchLimits, decide_solvable, enumerate_plans
+from .search import SearchLimits, decide_solvable, enumerate_plans, relaxed_reachable
 
 NATURAL = "nat"
 NECESSARY = "nec"
@@ -125,7 +125,7 @@ def extract_landmarks(m: PlanningModel, *, check_solvable: bool = True,
             continue
         targets = lm.formula.fluents
         achievers = _achievers(m, targets)
-        reachable = _relaxed_reachable(m, banned={a.name for a in achievers})
+        reachable = relaxed_reachable(m, banned={a.name for a in achievers})
         feasible = []
         for a in achievers:
             conds = [e.condition for e in a.effects if e.adds & targets]
@@ -189,26 +189,11 @@ def _candidates(m, feasible, targets, static):
 def _confirmed(m: PlanningModel, formula: DnfFormula) -> bool:
     """Sound landmark test: no relaxed plan survives removing all achievers."""
     banned = {a.name for a in _achievers(m, formula.fluents)}
-    return not m.goal <= _relaxed_reachable(m, banned=banned)
+    return not m.goal <= relaxed_reachable(m, banned=banned)
 
 
 def _achievers(m: PlanningModel, targets: frozenset[int]):
     return [a for a in m.actions if any(e.adds & targets for e in a.effects)]
-
-
-def _relaxed_reachable(m: PlanningModel, banned=frozenset()) -> frozenset[int]:
-    facts = set(m.init)
-    changed = True
-    while changed:
-        changed = False
-        for a in m.actions:
-            if a.name in banned or not a.prec <= facts:
-                continue
-            for e in a.effects:
-                if e.condition <= facts and not e.adds <= facts:
-                    facts |= e.adds
-                    changed = True
-    return frozenset(facts)
 
 
 def _static_fluents(m: PlanningModel) -> frozenset[int]:

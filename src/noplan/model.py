@@ -11,6 +11,7 @@ win when different effects of the same action conflict.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -193,6 +194,20 @@ class PlanningModel:
             by_name[a.name] = a
         object.__setattr__(self, "_by_name", by_name)
 
+    def with_goal(self, goal) -> "PlanningModel":
+        """This model with only the goal replaced.
+
+        The copy shares table, fluents, actions, init and the action
+        index, which were validated when this model was built, so only
+        the new goal needs checking.
+        """
+        goal = frozenset(goal)
+        if not goal <= self.fluents:
+            raise ModelError("goal mentions fluents outside the model")
+        other = copy.copy(self)
+        object.__setattr__(other, "goal", goal)
+        return other
+
     def action(self, name: str) -> Action:
         try:
             return self._by_name[name]
@@ -255,6 +270,46 @@ def apply_action(state: State, action: Action) -> State:
     if not dels and not adds:
         return state
     return (state - frozenset(dels)) | frozenset(adds)
+
+
+def maintain_complements(a: Action, complements: dict[int, int], table: FluentTable,
+                         reachable, error: type[Exception], needed_by: str) -> Action:
+    """a with each complement n of p deleted where p is added and added where p is deleted.
+
+    Adds win, so an effect deleting p must not add n when another effect
+    adds p in the same step. When some adding effect fires whenever the
+    deleting one does (its condition lies within the deleting effect's
+    condition plus a's precondition), p certainly ends true and the n add
+    is dropped, which is exact. An adding effect that can fire alongside
+    the delete without always doing so cannot be told apart by positive
+    conditions, so the action is rejected with ``error``; one whose
+    conditions are not jointly reachable under the delete relaxation
+    (``reachable()``, an over-approximation suffices) never fires
+    alongside and changes nothing.
+    """
+    effects = []
+    for e in a.effects:
+        gone = [complements[p] for p in e.adds if p in complements]
+        deleted = [p for p in e.dels if p in complements]
+        if not gone and not deleted:
+            effects.append(e)
+            continue
+        adds = set(e.adds)
+        dels = set(e.dels).union(gone)
+        for p in deleted:
+            n = complements[p]
+            adders = [o for o in a.effects if p in o.adds]
+            if any(o.condition <= e.condition | a.prec for o in adders):
+                continue
+            if any(e.condition | o.condition | a.prec <= reachable() for o in adders):
+                raise error(
+                    f"{needed_by} needs the complement of {table.canonical(p)}, but "
+                    f"action {a.name} deletes {table.canonical(p)} in one effect "
+                    f"and may add it in another"
+                )
+            adds.add(n)
+        effects.append(Effect(e.condition, frozenset(adds), frozenset(dels)))
+    return Action(a.name, a.prec, tuple(effects))
 
 
 @dataclass(frozen=True)

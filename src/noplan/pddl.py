@@ -5,24 +5,29 @@ The accepted subset: :strips, :typing, :negative-preconditions and
 preconditions (and negative goals) are compiled away during grounding
 via complement fluents (not-p) that are maintained in the initial state
 and in every effect touching p, so everything downstream is positive.
+An action that deletes p in one effect and may add it back in another
+leaves not-p undetermined and is rejected with a PddlError.
 
-Grounding instantiates every schema over type-consistent objects,
-prunes instantiations whose positive precondition contains a statically
-false fluent of a static predicate (one that appears in no schema
-effect), and interns exactly the fluents that occur in the surviving
-model. Negated occurrences of static predicates are kept: an action
-permanently blocked by such a fluent is still part of the model and of
-anything derived from it.
+Grounding binds schema parameters over type-consistent objects and
+drops a partial binding as soon as a positive precondition on a static
+predicate (one that appears in no schema effect) is false in the
+initial state, so only surviving actions are instantiated; it interns
+exactly the fluents that occur in the surviving model. Negated
+occurrences of static predicates are kept: an action permanently
+blocked by such a fluent is still part of the model and of anything
+derived from it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 
 from .errors import PddlError
-from .model import Action, Effect, FluentTable, PlanningModel
+from .model import Action, Effect, FluentTable, PlanningModel, maintain_complements
+from .search import relaxed_reachable
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s();]+")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
@@ -477,26 +482,76 @@ def _check_ground_atoms(lifted: LiftedModel) -> None:
 def ground(lifted: LiftedModel) -> PlanningModel:
     """Instantiate a lifted model into a grounded PlanningModel.
 
-    Negative preconditions, conditions and goals are replaced by
-    complement fluents; the fluent set is exactly what occurs in the
-    surviving actions, the initial state and the goal, with complement
-    pairs kept whole.
+    Parameter bindings are filtered on static facts before any action
+    is built: a binding is extended only while every positive
+    precondition on a static predicate whose variables it has bound
+    holds in the initial state, so only surviving actions are
+    instantiated. Negative preconditions, conditions and goals are
+    replaced by complement fluents; the fluent set is exactly what occurs
+    in the surviving actions, the initial state and the goal, with
+    complement pairs kept whole.
     """
     static_preds = _static_predicates(lifted)
     init_atoms = {(a.pred, a.args) for a in lifted.init}
-
     grounded: list[_GroundAction] = []
     for schema in lifted.schemas:
-        domains = [lifted.objects_of(t) for _, t in schema.params]
-        for combo in itertools.product(*domains):
-            binding = {var: obj for (var, _), obj in zip(schema.params, combo)}
-            ga = _instantiate(schema, binding, combo)
-            # pruning tames schema instantiation; explicitly ground
-            # actions (no parameters) are kept verbatim
-            if schema.params and _statically_false(ga, static_preds, init_atoms):
-                continue
-            grounded.append(ga)
+        variables = [var for var, _ in schema.params]
+        for combo in _bindings(lifted, schema, static_preds, init_atoms):
+            grounded.append(_instantiate(schema, dict(zip(variables, combo)), combo))
+    return _assemble(lifted, grounded, init_atoms)
 
+
+def _bindings(lifted: LiftedModel, schema: ActionSchema, static_preds, init_atoms):
+    """Parameter tuples of schema whose positive static preconditions hold.
+
+    Parameters are bound in declaration order over objects_of in its
+    sorted order, so tuples come out in itertools.product order. Each
+    positive precondition on a static predicate is tested where its last
+    variable gets bound, and a failing binding is not extended.
+    Negated static preconditions are never grounds for pruning: an
+    action permanently disabled by them stays in the model so that
+    abstraction can reason about why it is disabled. Explicitly ground
+    schemas (no parameters) are kept verbatim.
+    """
+    if not schema.params:
+        yield ()
+        return
+    level = {var: i for i, (var, _) in enumerate(schema.params)}
+    checks: list[list[LiftedAtom]] = [[] for _ in schema.params]
+    for atom in schema.pos_pre:
+        if atom.pred not in static_preds:
+            continue
+        bound_at = [level[arg] for arg in atom.args if arg in level]
+        if bound_at:
+            checks[max(bound_at)].append(atom)
+        elif (atom.pred, atom.args) not in init_atoms:
+            return
+    domains = [lifted.objects_of(t) for _, t in schema.params]
+    last = len(domains) - 1
+    binding: dict[str, str] = {}
+    combo: list[str] = [""] * len(domains)
+
+    def walk(i: int):
+        var = schema.params[i][0]
+        tests = checks[i]
+        for obj in domains[i]:
+            binding[var] = obj
+            combo[i] = obj
+            if tests and not all(
+                    (a.pred, tuple([binding.get(x, x) for x in a.args])) in init_atoms
+                    for a in tests):
+                continue
+            if i == last:
+                yield tuple(combo)
+            else:
+                yield from walk(i + 1)
+
+    yield from walk(0)
+
+
+def _assemble(lifted: LiftedModel, grounded: list[_GroundAction],
+              init_atoms) -> PlanningModel:
+    """The PlanningModel of the grounded actions, with complements compiled in."""
     table = FluentTable()
     occurring: set[tuple[str, tuple[str, ...]]] = set()
     negated: set[tuple[str, tuple[str, ...]]] = set()
@@ -514,49 +569,58 @@ def ground(lifted: LiftedModel) -> PlanningModel:
 
     for pred, args in sorted(occurring):
         table.intern(pred, args)
-    complement: dict[tuple[str, tuple[str, ...]], int] = {}
+    complement: dict[int, int] = {}
     for pred, args in sorted(negated):
         pos = table.id_of(pred, args)
-        complement[(pred, args)] = table.ensure_complement(pos)
+        complement[pos] = table.ensure_complement(pos)
 
     def fid(key):
         return table.id_of(*key)
 
     init = {fid(k) for k in init_atoms}
-    for key, neg in complement.items():
-        if key not in init_atoms:
-            init.add(neg)
+    init = frozenset(init | {neg for pos, neg in complement.items() if pos not in init})
 
-    actions = []
+    base = []
     names = set()
     for ga in grounded:
         prec = {fid(k) for k in ga.pos_pre}
-        prec.update(complement[k] for k in ga.neg_pre)
+        prec.update(complement[fid(k)] for k in ga.neg_pre)
         effects = []
         for cond, adds, dels in ga.effects:
-            add_ids = {fid(k) for k in adds}
-            del_ids = {fid(k) for k in dels}
-            for k in adds:
-                if k in complement:
-                    del_ids.add(complement[k])
-            for k in dels:
-                if k in complement:
-                    add_ids.add(complement[k])
-            # "adds win" inside a single clause: drop deletes it re-adds
-            del_ids -= add_ids
+            add_ids = frozenset({fid(k) for k in adds})
+            # adds win inside a single clause
+            del_ids = frozenset({fid(k) for k in dels}) - add_ids
             if cond or add_ids or del_ids or len(ga.effects) == 1:
-                effects.append(Effect(frozenset({fid(k) for k in cond}),
-                                      frozenset(add_ids), frozenset(del_ids)))
+                effects.append(Effect(frozenset({fid(k) for k in cond}), add_ids, del_ids))
         if ga.name in names:
             raise PddlError(f"duplicate grounded action name {ga.name}")
         names.add(ga.name)
-        actions.append(Action(ga.name, frozenset(prec), tuple(effects)))
+        base.append(Action(ga.name, frozenset(prec), tuple(effects)))
 
-    goal = {fid((a.pred, a.args)) for a in lifted.goal_pos}
-    goal.update(complement[(a.pred, a.args)] for a in lifted.goal_neg)
-
+    goal = frozenset({fid((a.pred, a.args)) for a in lifted.goal_pos}
+                     | {complement[fid((a.pred, a.args))] for a in lifted.goal_neg})
     fluents = frozenset(range(len(table)))
-    return PlanningModel(table, fluents, tuple(actions), frozenset(init), frozenset(goal))
+
+    def naive_reachable():
+        # every effect deleting p adds its complement: a superset of the
+        # adds of the exact maintenance, so its relaxed reachability
+        # over-approximates the model's
+        naive = tuple(
+            Action(a.name, a.prec, tuple(
+                Effect(e.condition,
+                       e.adds | {complement[p] for p in e.dels if p in complement},
+                       e.dels)
+                for e in a.effects))
+            for a in base
+        )
+        return relaxed_reachable(PlanningModel(table, fluents, naive, init, goal))
+
+    reachable = functools.cache(naive_reachable)
+    if complement:
+        base = [maintain_complements(a, complement, table, reachable, PddlError,
+                                     "a negative precondition or goal")
+                for a in base]
+    return PlanningModel(table, fluents, tuple(base), init, goal)
 
 
 @dataclass
@@ -590,16 +654,6 @@ def _static_predicates(lifted: LiftedModel) -> set[str]:
             for atom in e.adds + e.dels:
                 dynamic.add(atom.pred)
     return set(lifted.predicates) - dynamic
-
-
-def _statically_false(ga: _GroundAction, static_preds, init_atoms) -> bool:
-    """True when a positive precondition on a static predicate is false.
-
-    Negated static preconditions are never grounds for pruning: an
-    action permanently disabled by them stays in the model so that
-    abstraction can reason about why it is disabled.
-    """
-    return any(key[0] in static_preds and key not in init_atoms for key in ga.pos_pre)
 
 
 # ---------------------------------------------------------------------------

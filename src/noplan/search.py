@@ -52,13 +52,17 @@ class SearchResult:
         return self.status == EXHAUSTED
 
 
-def relaxed_reachable(m: PlanningModel) -> set[int]:
-    """Atoms reachable from init when deletes are ignored."""
+def relaxed_reachable(m: PlanningModel, banned=frozenset()) -> set[int]:
+    """Atoms reachable from init when deletes are ignored.
+
+    Actions named in banned are left out.
+    """
+    actions = [a for a in m.actions if a.name not in banned] if banned else m.actions
     reached = set(m.init)
     changed = True
     while changed:
         changed = False
-        for a in m.actions:
+        for a in actions:
             if a.prec <= reached:
                 for e in a.effects:
                     if e.condition <= reached and not e.adds <= reached:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from noplan import pddl
 from noplan.abstraction import concretize, diff_models
 from noplan.landmarks import GREEDY_NECESSARY, NATURAL, NECESSARY, LandmarkGraph
 from noplan.model import PlanningModel, apply_action, holds
@@ -174,3 +175,25 @@ def brute_force_explanations(lat, members):
             if ok:
                 found.append((len(updates), candidate))
     return found
+
+
+def ground_by_product(lifted: pddl.LiftedModel) -> PlanningModel:
+    """pddl.ground by instantiating every type-consistent binding, then filtering.
+
+    An instantiation with parameters is dropped when one of its positive
+    preconditions is on a static predicate and false in the initial
+    state; the survivors go through the same model assembly as ground.
+    """
+    static_preds = pddl._static_predicates(lifted)
+    init_atoms = {(a.pred, a.args) for a in lifted.init}
+    grounded = []
+    for schema in lifted.schemas:
+        domains = [lifted.objects_of(t) for _, t in schema.params]
+        for combo in itertools.product(*domains):
+            binding = {var: obj for (var, _), obj in zip(schema.params, combo)}
+            ga = pddl._instantiate(schema, binding, combo)
+            if schema.params and any(key[0] in static_preds and key not in init_atoms
+                                     for key in ga.pos_pre):
+                continue
+            grounded.append(ga)
+    return pddl._assemble(lifted, grounded, init_atoms)

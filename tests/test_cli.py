@@ -115,6 +115,28 @@ def test_explain_advice_on_conditionally_readded_atom_exit_two(tmp_path, capsys)
     assert err.count("\n") == 1
 
 
+def test_explain_negative_precondition_on_conditionally_readded_atom_exit_two(
+        tmp_path, capsys):
+    # a deletes p and re-adds it when q holds: not-p, needed by b, is undetermined
+    d = tmp_path / "d.pddl"
+    d.write_text("""
+    (define (domain d)
+      (:requirements :strips :negative-preconditions :conditional-effects)
+      (:predicates (p) (q) (g))
+      (:action a :parameters () :effect (and (not (p)) (when (q) (p))))
+      (:action b :parameters () :precondition (not (p)) :effect (g)))
+    """)
+    p = tmp_path / "p.pddl"
+    p.write_text("(define (problem x) (:domain d) (:init (p) (q)) (:goal (g)))")
+    spec = tmp_path / "lattice.json"
+    spec.write_text(json.dumps({"groups": [{"name": "g", "predicates": ["q"]}]}))
+    code = main(["explain", "--domain", str(d), "--problem", str(p), "--lattice", str(spec)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "action a deletes p" in err
+    assert err.count("\n") == 1
+
+
 def test_explain_budget_exit_three(capsys):
     code = main([
         "explain",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -88,6 +89,22 @@ def test_adds_win_across_effects():
 def test_effect_add_delete_overlap_rejected():
     with pytest.raises(ModelError):
         Effect(frozenset(), frozenset({1}), frozenset({1}))
+
+
+def test_with_goal_equals_replace(minirover_hand):
+    m = minirover_hand
+    goal = frozenset(sorted(m.fluents)[:2])
+    swapped = m.with_goal(goal)
+    assert swapped == dataclasses.replace(m, goal=goal)
+    assert swapped.goal == goal and m.goal != goal
+    assert swapped.table is m.table
+    assert [swapped.action(a.name) for a in m.actions] == list(m.actions)
+
+
+def test_with_goal_outside_fluents_rejected(minirover_hand):
+    m = minirover_hand
+    with pytest.raises(ModelError, match="goal"):
+        m.with_goal({max(m.fluents) + 1})
 
 
 def test_validate_plan_valid(minirover_hand):

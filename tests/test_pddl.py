@@ -1,7 +1,14 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noplan.errors import PddlError
 from noplan.pddl import ground, parse_model, write_domain, write_problem
+from noplan.search import decide_solvable
+
+from .oracles import ground_by_product
 
 
 def test_parse_minirover(minirover_texts):
@@ -220,3 +227,91 @@ def test_single_file_with_both_forms(minirover_texts, minirover):
     combined = minirover_texts[0] + "\n" + minirover_texts[1]
     m = ground(parse_model(combined, combined))
     assert m.same_content(minirover)
+
+
+def _readd_task(a_effect: str) -> tuple[str, str]:
+    domain = f"""(define (domain d)
+  (:requirements :strips :negative-preconditions :conditional-effects)
+  (:predicates (p) (q) (r) (g))
+  (:action a :parameters () :effect {a_effect})
+  (:action b :parameters () :precondition (not (p)) :effect (g)))"""
+    return domain, "(define (problem x) (:domain d) (:init (p) (q)) (:goal (g)))"
+
+
+def test_ground_rejects_delete_with_conditional_readd():
+    # p survives a exactly when q holds, which no complement tracks
+    lifted = parse_model(*_readd_task("(and (not (p)) (when (q) (p)))"))
+    with pytest.raises(PddlError, match="action a deletes p"):
+        ground(lifted)
+
+
+def test_ground_unconditional_add_beats_conditional_delete():
+    # a always leaves p true, so b never becomes applicable
+    m = ground(parse_model(*_readd_task("(and (p) (when (q) (not (p))))")))
+    assert decide_solvable(m).status == "unsolvable"
+
+
+def test_ground_readd_that_cannot_fire_is_ignored():
+    # r is never true, so the re-add never fires alongside the delete
+    m = ground(parse_model(*_readd_task("(and (not (p)) (when (r) (p)))")))
+    assert decide_solvable(m).plan == ("a", "b")
+
+
+_TYPES = ("object", "t1", "t2", "t3")  # t2 is a subtype of t1
+_STATIC = {"s0": 0, "s1": 1, "s2": 2}
+
+
+def _atom(pred: str, args) -> str:
+    return f"({pred} {' '.join(args)})" if args else f"({pred})"
+
+
+@st.composite
+def typed_tasks(draw):
+    """Small typed domain/problem texts with static preconditions to filter on."""
+    objects = [(f"{t}x{i}", t) for t in _TYPES for i in range(draw(st.integers(0, 2)))]
+    constants = ["k"] if draw(st.booleans()) else []
+    names = sorted([o for o, _ in objects] + constants)
+    statics = [_atom(p, args) for p, n in _STATIC.items()
+               for args in itertools.product(names, repeat=n)]
+    init = draw(st.lists(st.sampled_from(statics), unique=True)) if statics else []
+    schemas = []
+    for s in range(draw(st.integers(1, 2))):
+        params = [(f"?v{i}", draw(st.sampled_from(_TYPES)))
+                  for i in range(draw(st.integers(0, 3)))]
+        terms = [v for v, _ in params] + constants
+        arities = [p for p, n in _STATIC.items() if n == 0 or terms]
+        literals = []
+        for negated in (False, False, False, True):
+            if draw(st.booleans()):
+                pred = draw(st.sampled_from(arities))
+                args = [draw(st.sampled_from(terms)) for _ in range(_STATIC[pred])]
+                literals.append(f"(not {_atom(pred, args)})" if negated else _atom(pred, args))
+        effect = _atom("d1", [draw(st.sampled_from(terms))]) if terms else "(d0)"
+        schemas.append(f"""  (:action a{s}
+    :parameters ({' '.join(f'{v} - {t}' for v, t in params)})
+    :precondition (and {' '.join(literals)})
+    :effect (and {effect} (not (d0))))""")
+    domain = f"""(define (domain d)
+  (:requirements :strips :typing :negative-preconditions)
+  (:types t1 t3 - object t2 - t1)
+  {f"(:constants {' '.join(constants)} - t1)" if constants else ""}
+  (:predicates (s0) (s1 ?a) (s2 ?a ?b) (d0) (d1 ?a))
+{chr(10).join(schemas)})"""
+    problem = f"""(define (problem x) (:domain d)
+  (:objects {' '.join(f'{o} - {t}' for o, t in objects)})
+  (:init (d0) {' '.join(init)})
+  (:goal (and (not (d0)))))"""
+    return domain, problem
+
+
+@given(typed_tasks())
+@settings(max_examples=200, deadline=None)
+def test_ground_matches_product_oracle(texts):
+    lifted = parse_model(*texts)
+    m, oracle = ground(lifted), ground_by_product(lifted)
+    assert m == oracle
+    assert ([m.table.canonical(f) for f in sorted(m.fluents)]
+            == [oracle.table.canonical(f) for f in sorted(oracle.fluents)])
+    assert [a.name for a in m.actions] == [a.name for a in oracle.actions]
+    assert write_domain(m) == write_domain(oracle)
+    assert write_problem(m) == write_problem(oracle)
