@@ -3,11 +3,15 @@
 A lattice is addressed by subsets of named fluent groups; projecting a
 group removes all of its member fluents from every component of the
 model, which keeps every concrete plan valid in the abstraction. Nodes
-are built lazily from the root and memoized, together with a
-solvability cache. The explanatory-fluent search walks candidate group
-subsets in nondecreasing update-cost order, so the first subset whose
-restoration makes every minimum-abstraction-set member unsolvable is
-also the cheapest.
+are built lazily from the root and memoized; a projection shares every
+action and effect the projected fluents do not touch. Each node is
+decided once: by replaying a plan the lattice already found, when one
+is valid on the node, and otherwise by a search. So a node's plan is a
+valid plan, and it is the first shortest one only when the node was
+searched; every "unsolvable" comes from a search. The explanatory-fluent
+search walks candidate group subsets in nondecreasing update-cost
+order, so the first subset whose restoration makes every
+minimum-abstraction-set member unsolvable is also the cheapest.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .errors import (
     RootSolvableError,
     UnsolvableEverywhereError,
 )
-from .model import Action, Effect, PlanningModel
-from .search import SearchLimits, SearchResult, decide_solvable
+from .model import Plan, PlanningModel, validate_plan
+from .search import SOLVABLE, SearchLimits, SearchResult, decide_solvable
 
 INIT_LITERAL = "init-literal"
 GOAL_LITERAL = "goal-literal"
@@ -76,6 +80,13 @@ class ExplanatorySet:
 
 @dataclass
 class LatticeNode:
+    """One lattice element: its projected groups, model and decision.
+
+    ``solvable`` is None until decided. A solvable decision's plan is
+    valid on ``model``; it is the first shortest plan only when this
+    node was searched rather than decided by replay.
+    """
+
     projected: frozenset[str]
     model: PlanningModel
     solvable: SearchResult | None = None
@@ -85,21 +96,17 @@ class LatticeNode:
 
 
 def project_model(m: PlanningModel, fluents) -> PlanningModel:
-    """Remove a fluent set from every component of m."""
+    """Remove a fluent set from every component of m.
+
+    Actions and effects that mention none of the fluents are shared with
+    m (see ``PlanningModel.without``).
+    """
     gone = frozenset(fluents)
     if not gone <= m.fluents:
         raise ModelError("projection set mentions fluents outside the model")
     if not gone:
         return m
-    actions = tuple(
-        Action(
-            a.name,
-            a.prec - gone,
-            tuple(Effect(e.condition - gone, e.adds - gone, e.dels - gone) for e in a.effects),
-        )
-        for a in m.actions
-    )
-    return PlanningModel(m.table, m.fluents - gone, actions, m.init - gone, m.goal - gone)
+    return m.without(gone)
 
 
 class AbstractionLattice:
@@ -135,6 +142,9 @@ class AbstractionLattice:
         self._nodes: dict[frozenset[str], LatticeNode] = {
             frozenset(): LatticeNode(frozenset(), root)
         }
+        # plans of the nodes this lattice searched and found solvable,
+        # in the order found
+        self._plans: list[Plan] = []
 
     @property
     def root_node(self) -> LatticeNode:
@@ -175,8 +185,25 @@ class AbstractionLattice:
         )
 
     def solvability(self, node: LatticeNode) -> SearchResult:
+        """The node's decision, made once.
+
+        Every node has the root's action names, so a plan found at one
+        node can be replayed at another: the first stored plan valid on
+        the node's model proves it solvable. Only when none is valid does
+        a search decide, so every "unsolvable" comes from a search. Under
+        tight ``limits`` replay can decide a node whose own search would
+        be exhausted, so which nodes end up exhausted can depend on the
+        order in which nodes are decided.
+        """
         if node.solvable is None:
-            node.solvable = decide_solvable(node.model, self.limits)
+            for plan in self._plans:
+                if validate_plan(node.model, plan).valid:
+                    node.solvable = SearchResult(SOLVABLE, plan)
+                    break
+            else:
+                node.solvable = decide_solvable(node.model, self.limits)
+                if node.solvable.solvable:
+                    self._plans.append(node.solvable.plan)
         return node.solvable
 
     def decided_solvable(self, node: LatticeNode, stage: str) -> bool:
@@ -340,9 +367,11 @@ def resolve_groups(m: PlanningModel, spec: LatticeSpec) -> list[FluentGroup]:
 
     Members are every model fluent of the listed predicates, plus the
     complement partners of those fluents, so complement pairs always
-    project together.
+    project together. A spec that lists p and its complement not-p in
+    different groups would split such a pair, and is rejected.
     """
     out = []
+    owner: dict[int, str] = {}
     for name, preds in spec.groups:
         wanted = set(preds)
         members: set[int] = set()
@@ -355,5 +384,12 @@ def resolve_groups(m: PlanningModel, spec: LatticeSpec) -> list[FluentGroup]:
                 members.add(partner)
         if not members:
             raise LatticeSpecError(f"group {name} matches no fluents of the model")
+        for fid in sorted(members):
+            if owner.setdefault(fid, name) != name:
+                raise LatticeSpecError(
+                    f"groups {owner[fid]} and {name} both contain "
+                    f"{m.table.canonical(fid)}; a predicate and its complement "
+                    f"must be listed in the same group"
+                )
         out.append(FluentGroup(name, frozenset(members)))
     return out

@@ -132,7 +132,7 @@ def _negate_to_complements(m: PlanningModel, formula: DnfFormula) -> DnfFormula:
     disjunct_lists = [sorted(d) for d in formula.sorted_disjuncts()]
     out = []
     for picks in itertools.product(*disjunct_lists):
-        out.append({m.table.ensure_complement(p) for p in picks})
+        out.append({m.table.ensure_complement(p, AdviceError) for p in picks})
     return DnfFormula.build(out)
 
 
@@ -416,7 +416,7 @@ def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
     init = set(m.init)
     base_actions = list(m.actions)
     if needed:
-        complements = {p: table.ensure_complement(p) for p in sorted(needed)}
+        complements = {p: table.ensure_complement(p, AdviceError) for p in sorted(needed)}
         fluents.update(complements.values())
         for p, n in complements.items():
             if p not in m.init:

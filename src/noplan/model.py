@@ -108,12 +108,22 @@ class FluentTable:
             return self._complement[fid]
         return None
 
-    def ensure_complement(self, pos: int) -> int:
-        """Return the complement fluent of pos, creating it if needed."""
+    def ensure_complement(self, pos: int, error: type[Exception] = ModelError) -> int:
+        """Return the complement fluent of pos, creating it if needed.
+
+        The complement of p is named not-p. When the table already holds
+        a fluent of that name (the input declares a predicate not-p), the
+        two atoms would merge into one, so ``error`` is raised instead.
+        """
         existing = self._complement.get(pos)
         if existing is not None:
             return existing
         f = self._fluents[pos]
+        if self.get("not-" + f.name, f.args) is not None:
+            raise error(
+                f"the complement of {f.canonical} would be named not-{f.canonical}, "
+                f"which the input already uses; rename the predicate not-{f.name}"
+            )
         neg = self.intern("not-" + f.name, f.args)
         self.register_complement(pos, neg)
         return neg
@@ -208,6 +218,24 @@ class PlanningModel:
         object.__setattr__(other, "goal", goal)
         return other
 
+    def without(self, gone: frozenset[int]) -> "PlanningModel":
+        """This model with the fluents in gone removed from every component.
+
+        Actions and effects that mention none of them are shared, not
+        rebuilt. Removing fluents from a validated model cannot create an
+        out-of-scope fluent, a duplicate action name or an add/delete
+        overlap, so the copy skips validation; only the action index is
+        rebuilt over the new action objects.
+        """
+        actions = tuple(_action_without(a, gone) for a in self.actions)
+        other = copy.copy(self)
+        object.__setattr__(other, "fluents", self.fluents - gone)
+        object.__setattr__(other, "actions", actions)
+        object.__setattr__(other, "init", self.init - gone)
+        object.__setattr__(other, "goal", self.goal - gone)
+        object.__setattr__(other, "_by_name", {a.name: a for a in actions})
+        return other
+
     def action(self, name: str) -> Action:
         try:
             return self._by_name[name]
@@ -251,6 +279,21 @@ class PlanningModel:
             )
 
         return side(self.table, self) == side(other.table, other)
+
+
+def _action_without(a: Action, gone: frozenset[int]) -> Action:
+    """a with the fluents in gone removed; a itself when it mentions none."""
+    changed = False
+    effects = []
+    for e in a.effects:
+        if gone.isdisjoint(e.condition) and gone.isdisjoint(e.adds) and gone.isdisjoint(e.dels):
+            effects.append(e)
+        else:
+            effects.append(Effect(e.condition - gone, e.adds - gone, e.dels - gone))
+            changed = True
+    if gone.isdisjoint(a.prec) and not changed:
+        return a
+    return Action(a.name, a.prec - gone, tuple(effects))
 
 
 def apply_action(state: State, action: Action) -> State:

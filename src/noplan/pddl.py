@@ -572,7 +572,7 @@ def _assemble(lifted: LiftedModel, grounded: list[_GroundAction],
     complement: dict[int, int] = {}
     for pred, args in sorted(negated):
         pos = table.id_of(pred, args)
-        complement[pos] = table.ensure_complement(pos)
+        complement[pos] = table.ensure_complement(pos, PddlError)
 
     def fid(key):
         return table.id_of(*key)

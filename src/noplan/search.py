@@ -39,6 +39,14 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A solvability decision; a solvable one carries a valid plan.
+
+    From decide_solvable the plan is the first shortest one. A lattice
+    node decided by replaying another node's plan (see
+    ``AbstractionLattice.solvability``) carries that plan, which is
+    valid on the node but need not be its first shortest.
+    """
+
     status: str  # SOLVABLE | UNSOLVABLE | EXHAUSTED
     plan: Plan | None = None
     detail: str | None = None

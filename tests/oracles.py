@@ -12,7 +12,7 @@ import itertools
 from noplan import pddl
 from noplan.abstraction import concretize, diff_models
 from noplan.landmarks import GREEDY_NECESSARY, NATURAL, NECESSARY, LandmarkGraph
-from noplan.model import PlanningModel, apply_action, holds
+from noplan.model import Action, Effect, PlanningModel, apply_action, holds
 from noplan.search import decide_solvable, enumerate_plans
 
 
@@ -197,3 +197,17 @@ def ground_by_product(lifted: pddl.LiftedModel) -> PlanningModel:
                 continue
             grounded.append(ga)
     return pddl._assemble(lifted, grounded, init_atoms)
+
+
+def project_by_rebuild(m: PlanningModel, fluents) -> PlanningModel:
+    """project_model by rebuilding every action and validating the result."""
+    gone = frozenset(fluents)
+    actions = tuple(
+        Action(
+            a.name,
+            a.prec - gone,
+            tuple(Effect(e.condition - gone, e.adds - gone, e.dels - gone) for e in a.effects),
+        )
+        for a in m.actions
+    )
+    return PlanningModel(m.table, m.fluents - gone, actions, m.init - gone, m.goal - gone)

@@ -1,6 +1,9 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noplan.abstraction import (
     AbstractionLattice,
@@ -23,9 +26,12 @@ from noplan.errors import (
     UnsolvableEverywhereError,
 )
 from noplan.model import validate_plan
-from noplan.search import decide_solvable, enumerate_plans
+from noplan.pddl import ground, parse_model
+from noplan.search import SearchLimits, decide_solvable, enumerate_plans
 
-from .conftest import build_model, minirover_groups
+from .conftest import INSTANCES, build_model, minirover_groups
+from .oracles import project_by_rebuild
+from .test_search import micro_models
 
 
 def test_project_clear_gives_norocks(minirover, minirover_hand, norocks):
@@ -315,3 +321,180 @@ def test_explanatory_minimality_exhaustive(minirover):
     valid = brute_force_explanations(lat, members)
     assert valid, "oracle found no explanation but search returned one"
     assert expl.cost == min(cost for cost, _ in valid)
+
+
+# --- plan replay and shared projections ------------------------------------
+
+
+@st.composite
+def lattices(draw):
+    """A micro-model with random groups, complement pairs and forbidden sets."""
+    m = draw(micro_models())
+    fids = sorted(m.fluents)
+    for p, n in draw(st.lists(st.tuples(st.sampled_from(fids), st.sampled_from(fids)),
+                              max_size=2)):
+        if p != n and m.table.complement(p) is None and m.table.complement(n) is None:
+            m.table.register_complement(p, n)
+    labels = {}
+    for f in fids:
+        if f not in labels:
+            labels[f] = draw(st.integers(-1, 3))  # -1: in no group
+            partner = m.table.complement(f)
+            if partner is not None:
+                labels[partner] = labels[f]
+    groups = [
+        FluentGroup(f"g{k}", frozenset(f for f in fids if labels[f] == k))
+        for k in range(4) if k in labels.values()
+    ]
+    names = [g.name for g in groups]
+    forbidden = draw(st.lists(st.sets(st.sampled_from(names), min_size=1), max_size=3)
+                     ) if names else []
+    lat = build_lattice(m, groups, forbidden)
+    order = draw(st.permutations(lat.all_projected_sets()))
+    return lat, order
+
+
+@given(lattices())
+@settings(max_examples=150, deadline=None)
+def test_replayed_decisions_match_fresh_search_on_rebuilt_projections(case):
+    lat, order = case
+    root = lat.root
+    for projected in order:
+        node = lat.node(projected)
+        result = lat.solvability(node)
+        gone = frozenset().union(*(lat.groups[g].members for g in projected))
+        rebuilt = project_by_rebuild(root, gone)
+        assert node.model == rebuilt
+        for a in root.actions:
+            assert node.model.action(a.name) == rebuilt.action(a.name)
+            if gone.isdisjoint(a.prec) and all(
+                    gone.isdisjoint(e.condition | e.adds | e.dels) for e in a.effects):
+                assert node.model.action(a.name) is a
+        assert diff_models(node.model, root) == diff_models(rebuilt, root)
+        assert result.status == decide_solvable(rebuilt).status
+        if result.solvable:
+            assert validate_plan(node.model, result.plan).valid
+
+
+def test_replay_decides_a_node_without_searching(minirover, monkeypatch):
+    import noplan.abstraction as abstraction
+
+    lat = build_lattice(minirover, minirover_groups(minirover))
+    top = lat.node({"rocks", "conn"})
+    assert lat.solvability(top).solvable
+    calls = []
+    monkeypatch.setattr(abstraction, "decide_solvable",
+                        lambda m, limits=None: calls.append(m) or decide_solvable(m, limits))
+    # the plan found at the top is valid once only rocks are projected
+    rocks = lat.node({"rocks"})
+    assert lat.solvability(rocks).plan == lat.solvability(top).plan
+    assert calls == []
+    # unsolvable decisions still come from a search
+    assert not lat.solvability(lat.node({"conn"})).solvable
+    assert len(calls) == 1
+
+
+def test_replay_decides_a_node_whose_search_exhausts_the_budget():
+    # four steps reach the goal; three flags that any action may set
+    # multiply the root's state space by eight, and projecting them
+    # leaves a five-state search
+    steps = [(f"step_{i}", [f"c_{i - 1}"], [f"c_{i}"], []) for i in range(1, 5)]
+    flips = [(f"flip_{j}", [], [f"y_{j}"], []) for j in range(1, 4)]
+    fluents = [f"c_{i}" for i in range(5)] + [f"y_{j}" for j in range(1, 4)]
+    m, ids = build_model(fluents, steps + flips, ["c_0"], ["c_4"])
+    flags = FluentGroup("flags", frozenset(ids[f] for f in fluents if f.startswith("y")))
+    lat = build_lattice(m, [flags], limits=SearchLimits(max_nodes=10))
+    assert decide_solvable(m, lat.limits).exhausted
+    plan = lat.solvability(lat.node({"flags"})).plan
+    assert plan == ("step_1", "step_2", "step_3", "step_4")
+    # the root, searched first, is exhausted; decided after the top, it
+    # is solvable by replay
+    assert lat.solvability(lat.root_node).plan == plan
+
+
+# --- the exemplar's source plan is searched, not replayed ------------------
+
+
+def _lattice_as_explain_builds_it(m, spec, advice_text=None):
+    """The lattice of explain, decided as far as the explanatory-set search goes."""
+    from noplan.advice import compose, parse_advice
+
+    effective = compose(m, parse_advice(advice_text, m)).compiled if advice_text else m
+    lat = build_lattice(effective, resolve_groups(effective, spec), spec.forbidden)
+    lat.root_node.solvable = decide_solvable(effective)
+    assert not lat.root_node.solvable.solvable
+    members = minimum_abstraction_set(lat)
+    find_explanatory_fluents(lat, members)
+    return members
+
+
+def _assert_exemplar_plan_is_first_shortest(members):
+    assert members
+    assert members[0].solvable.plan == decide_solvable(members[0].model).plan
+    for node in members:
+        assert validate_plan(node.model, node.solvable.plan).valid
+
+
+@pytest.mark.parametrize("name,advice", [
+    ("minirover", None),
+    ("rover_grid", None),
+    ("blocksworld", "advice.json"),
+    ("logistics", "advice.json"),
+])
+def test_exemplar_plan_is_first_shortest_on_bundled_instances(name, advice):
+    base = INSTANCES / name
+    m = ground(parse_model((base / "domain.pddl").read_text(),
+                           (base / "problem.pddl").read_text()))
+    spec = load_lattice_spec((base / "lattice.json").read_text())
+    advice_text = (base / advice).read_text() if advice else None
+    _assert_exemplar_plan_is_first_shortest(_lattice_as_explain_builds_it(m, spec, advice_text))
+
+
+OBSTACLES = ("ice", "lava", "mud", "rocks", "sand", "snow", "trees", "water")
+
+
+def _obstacle_grid(size: int) -> tuple[str, str]:
+    """A rover grid with one lattice group per obstacle kind.
+
+    Rocks and water cover the two approaches of the goal corner. The
+    other kinds cover the edge cells next to the start, one each, which
+    never walls anything off but puts them on the first shortest path,
+    so nodes that keep different kinds have different first plans.
+    """
+    preds = " ".join(f"(has-{o} ?c - cell)" for o in OBSTACLES)
+    blocked = " ".join(f"(not (has-{o} ?to))" for o in OBSTACLES)
+    domain = f"""(define (domain grid)
+  (:requirements :strips :typing :negative-preconditions)
+  (:types cell)
+  (:predicates (at ?c - cell) (conn ?a - cell ?b - cell) {preds})
+  (:action move :parameters (?from - cell ?to - cell)
+    :precondition (and (at ?from) (conn ?from ?to) {blocked})
+    :effect (and (at ?to) (not (at ?from)))))"""
+    cells = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
+    facts = ["(at c1-1)"]
+    for x, y in cells:
+        for nx, ny in ((x + 1, y), (x, y + 1)):
+            if nx <= size and ny <= size:
+                facts += [f"(conn c{x}-{y} c{nx}-{ny})", f"(conn c{nx}-{ny} c{x}-{y})"]
+    facts += [f"(has-rocks c{size - 1}-{size})", f"(has-water c{size}-{size - 1})"]
+    decoys = [o for o in OBSTACLES if o not in ("rocks", "water")]
+    facts += [f"(has-{o} c1-{y})" for y, o in enumerate(decoys, start=2)]
+    objects = " ".join(f"c{x}-{y}" for x, y in cells)
+    problem = (f"(define (problem grid) (:domain grid) (:objects {objects} - cell) "
+               f"(:init {' '.join(facts)}) (:goal (at c{size}-{size})))")
+    return domain, problem
+
+
+@pytest.mark.parametrize("forbidden", [[], [["ice", "lava"], ["mud", "sand"]]])
+def test_exemplar_plan_is_first_shortest_on_eight_groups(forbidden):
+    m = ground(parse_model(*_obstacle_grid(8)))
+    spec = load_lattice_spec(json.dumps({
+        "groups": [{"name": o, "predicates": [f"has-{o}"]} for o in OBSTACLES],
+        "forbidden": forbidden,
+    }))
+    members = _lattice_as_explain_builds_it(m, spec)
+    assert len(members) == (1 if not forbidden else 4)
+    if forbidden:
+        # a plan replayed into members[0] would not be its first shortest
+        assert len({decide_solvable(n.model).plan for n in members}) > 1
+    _assert_exemplar_plan_is_first_shortest(members)

@@ -137,6 +137,46 @@ def test_explain_negative_precondition_on_conditionally_readded_atom_exit_two(
     assert err.count("\n") == 1
 
 
+def test_explain_predicate_named_like_a_complement_exit_two(tmp_path, capsys):
+    # the domain declares not-p and negates p: the complement would reuse not-p
+    d = tmp_path / "d.pddl"
+    d.write_text("""
+    (define (domain clash)
+      (:requirements :strips :negative-preconditions)
+      (:predicates (p) (not-p) (g))
+      (:action mark :parameters () :effect (not-p))
+      (:action b :parameters () :precondition (not (p)) :effect (g)))
+    """)
+    p = tmp_path / "p.pddl"
+    p.write_text("(define (problem x) (:domain clash) (:init (p)) (:goal (g)))")
+    spec = tmp_path / "lattice.json"
+    spec.write_text(json.dumps({"groups": [{"name": "g", "predicates": ["g"]}]}))
+    code = main(["explain", "--domain", str(d), "--problem", str(p), "--lattice", str(spec)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "not-p" in err
+    assert err.count("\n") == 1
+
+
+def test_explain_complement_predicate_in_second_group_exit_two(tmp_path, capsys):
+    rover = INSTANCES / "rover_grid"
+    spec = tmp_path / "lattice.json"
+    spec.write_text(json.dumps({"groups": [
+        {"name": "rocks", "predicates": ["has-rocks"]},
+        {"name": "neg", "predicates": ["not-has-rocks"]},
+    ]}))
+    code = main([
+        "explain",
+        "--domain", str(rover / "domain.pddl"),
+        "--problem", str(rover / "problem.pddl"),
+        "--lattice", str(spec),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "rocks" in err and "neg" in err
+    assert err.count("\n") == 1
+
+
 def test_explain_budget_exit_three(capsys):
     code = main([
         "explain",

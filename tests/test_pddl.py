@@ -257,6 +257,29 @@ def test_ground_readd_that_cannot_fire_is_ignored():
     assert decide_solvable(m).plan == ("a", "b")
 
 
+CLASH_DOMAIN = """(define (domain clash)
+  (:requirements :strips :negative-preconditions)
+  (:predicates (p) (not-p) (g))
+  (:action mark :parameters () :effect (not-p))
+  (:action b :parameters () :precondition (not (p)) :effect (g)))"""
+CLASH_PROBLEM = "(define (problem x) (:domain clash) (:init (p)) (:goal (g)))"
+
+
+def test_ground_rejects_predicate_named_like_a_complement():
+    # the complement of p would be the declared not-p, which mark makes
+    # true while p still holds, so b would become applicable
+    with pytest.raises(PddlError, match="not-p"):
+        ground(parse_model(CLASH_DOMAIN, CLASH_PROBLEM))
+
+
+def test_ground_allows_not_prefix_without_clash():
+    # not-q is declared, but q is never negated: no complement is named not-q
+    domain = CLASH_DOMAIN.replace("(not-p)", "(not-q)")
+    m = ground(parse_model(domain, CLASH_PROBLEM))
+    assert m.table.get("not-q") is not None
+    assert decide_solvable(m).status == "unsolvable"
+
+
 _TYPES = ("object", "t1", "t2", "t3")  # t2 is a subtype of t1
 _STATIC = {"s0": 0, "s1": 1, "s2": 2}
 
