@@ -51,7 +51,6 @@ from .landmarks import (
     Ordering,
     extract_landmarks,
     linearize,
-    verify_landmark_oracle,
 )
 from .model import (
     Action,
@@ -67,10 +66,4 @@ from .model import (
     validate_plan,
 )
 from .pddl import LiftedModel, ground, parse_model, write_domain, write_problem
-from .search import (
-    SearchLimits,
-    SearchResult,
-    decide_solvable,
-    enumerate_plans,
-    reachable_states,
-)
+from .search import SearchLimits, SearchResult, decide_solvable

@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import ModelError, ResourceExhaustedError
+from .errors import ModelError, ReservedNameError, ResourceExhaustedError
 from .landmarks import (
     GREEDY_NECESSARY,
     Landmark,
@@ -59,9 +59,15 @@ class FailedSubgoal:
 
 def _meta_ids(m: PlanningModel, lg: LandmarkGraph):
     table = m.table.clone()
-    ach = {lm.id: table.intern(f"achieved-lm{lm.id}") for lm in lg.landmarks}
-    unset = {lm.id: table.intern(f"unset-lm{lm.id}") for lm in lg.landmarks}
-    fta = {lm.id: table.intern(f"first-time-lm{lm.id}") for lm in lg.landmarks}
+
+    def intern(kind: str) -> dict[int, int]:
+        return {lm.id: table.intern_bookkeeping(f"{kind}-lm{lm.id}", m.fluents,
+                                                ReservedNameError, "achievability")
+                for lm in lg.landmarks}
+
+    ach = intern("achieved")
+    unset = intern("unset")
+    fta = intern("first-time")
     return table, ach, unset, fta
 
 

@@ -426,8 +426,9 @@ def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
                                              AdviceError, "advice")
                         for a in base_actions]
 
-    in_state = {s: table.intern(f"in-state-{s}") for s in sorted(fsa.states)}
-    accept_fluent = table.intern(GOAL_ACCEPT)
+    in_state = {s: table.intern_bookkeeping(f"in-state-{s}", m.fluents, AdviceError, "advice")
+                for s in sorted(fsa.states)}
+    accept_fluent = table.intern_bookkeeping(GOAL_ACCEPT, m.fluents, AdviceError, "advice")
     fluents.update(in_state.values())
     fluents.add(accept_fluent)
     init.add(in_state[fsa.initial])

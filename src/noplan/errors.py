@@ -35,6 +35,10 @@ class LatticeSpecError(InputError):
     """Malformed lattice spec: bad groups, overlaps, unknown names."""
 
 
+class ReservedNameError(InputError):
+    """The input declares a fluent under a name a compilation reserves for its bookkeeping."""
+
+
 class ModelError(NoplanError):
     """A model or one of its components violates a structural invariant."""
 

@@ -1,4 +1,4 @@
-"""Landmark extraction with sound orderings, plus a brute-force verifier.
+"""Landmark extraction with sound orderings.
 
 Extraction back-chains over the delete relaxation: goal conjuncts are
 landmarks; for a landmark that is false initially, the preconditions
@@ -19,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .errors import CycleError, ModelUnsolvableError
-from .model import DnfFormula, PlanningModel, apply_action, holds
-from .search import SearchLimits, decide_solvable, enumerate_plans, relaxed_reachable
+from .model import DnfFormula, PlanningModel, holds
+from .search import SearchLimits, decide_solvable, relaxed_reachable
 
 NATURAL = "nat"
 NECESSARY = "nec"
@@ -251,28 +251,6 @@ def linearize(g: LandmarkGraph) -> list[Landmark]:
     if len(out) != len(g.landmarks):
         raise CycleError("landmark orderings contain a cycle")
     return out
-
-
-def verify_landmark_oracle(m: PlanningModel, formula: DnfFormula, max_len: int,
-                           max_nodes: int = 2_000_000) -> bool:
-    """Ground truth by enumeration: every bounded plan passes through formula.
-
-    The initial state and every intermediate state count; vacuously true
-    when no plan exists within the bound.
-    """
-    for plan in enumerate_plans(m, max_len, max_nodes):
-        state = m.init
-        if holds(state, formula):
-            continue
-        hit = False
-        for name in plan:
-            state = apply_action(state, m.action(name))
-            if holds(state, formula):
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
 
 
 def graph_to_json(m: PlanningModel, g: LandmarkGraph) -> dict:

@@ -128,6 +128,23 @@ class FluentTable:
         self.register_complement(pos, neg)
         return neg
 
+    def intern_bookkeeping(self, name: str, model_fluents, error: type[Exception],
+                           compilation: str) -> int:
+        """Intern a nullary bookkeeping fluent that compilation adds to a model.
+
+        When model_fluents (the input model's) already hold a fluent of
+        that name, the two atoms would merge into one, so ``error`` is
+        raised instead. A fluent of that name outside model_fluents is
+        reused.
+        """
+        fid = self.intern(name)
+        if fid in model_fluents:
+            raise error(
+                f"the input declares {name}, which names a bookkeeping fluent of "
+                f"the {compilation} compilation; rename the predicate {name}"
+            )
+        return fid
+
     def clone(self) -> "FluentTable":
         """Independent copy; existing ids are preserved."""
         other = FluentTable()
@@ -186,6 +203,9 @@ class PlanningModel:
     init: frozenset[int]
     goal: frozenset[int]
     _by_name: dict = field(init=False, repr=False, compare=False, default=None)
+    # search tables, filled in by decide_solvable (see search.py); a
+    # with_goal copy shares this dict with the model it was made from
+    _search: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.init <= self.fluents:
@@ -203,13 +223,15 @@ class PlanningModel:
                 raise ModelError(f"action {a.name} mentions fluents outside the model")
             by_name[a.name] = a
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_search", {})
 
     def with_goal(self, goal) -> "PlanningModel":
         """This model with only the goal replaced.
 
         The copy shares table, fluents, actions, init and the action
         index, which were validated when this model was built, so only
-        the new goal needs checking.
+        the new goal needs checking. It also shares the search tables,
+        which do not depend on the goal.
         """
         goal = frozenset(goal)
         if not goal <= self.fluents:
@@ -224,8 +246,9 @@ class PlanningModel:
         Actions and effects that mention none of them are shared, not
         rebuilt. Removing fluents from a validated model cannot create an
         out-of-scope fluent, a duplicate action name or an add/delete
-        overlap, so the copy skips validation; only the action index is
-        rebuilt over the new action objects.
+        overlap, so the copy skips validation; the action index is
+        rebuilt over the new action objects, and the search tables are
+        left to be compiled for the new model.
         """
         actions = tuple(_action_without(a, gone) for a in self.actions)
         other = copy.copy(self)
@@ -234,6 +257,7 @@ class PlanningModel:
         object.__setattr__(other, "init", self.init - gone)
         object.__setattr__(other, "goal", self.goal - gone)
         object.__setattr__(other, "_by_name", {a.name: a for a in actions})
+        object.__setattr__(other, "_search", {})
         return other
 
     def action(self, name: str) -> Action:

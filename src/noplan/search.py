@@ -1,9 +1,9 @@
-"""Solvability decisions and exhaustive plan enumeration.
+"""Solvability decisions by breadth-first search over bitmask states.
 
-decide_solvable first computes, once per call, the atoms reachable under
-the delete relaxation (Bonet & Geffner, "Planning as heuristic search",
-AIJ 2001), counting an effect's condition as a precondition of its adds.
-A goal outside that set is unreachable in the task too, so the answer is
+decide_solvable first needs the atoms reachable under the delete
+relaxation (Bonet & Geffner, "Planning as heuristic search", AIJ 2001),
+counting an effect's condition as a precondition of its adds. A goal
+outside that set is unreachable in the task too, so the answer is
 "unsolvable" without expanding a state. Otherwise a breadth-first search
 with duplicate detection runs over the (finite) state space, using only
 the actions whose preconditions lie inside the set: no other action is
@@ -12,9 +12,24 @@ exhausted, and a solvable result carries the first shortest plan in
 model action order. Budgets turn an undecided search into a
 resource-exhausted result, never a wrong answer.
 
-enumerate_plans is the brute-force oracle used by the property suite:
-it walks every applicable action sequence up to a length bound and
-collects exactly the valid plans.
+Inside the search a state is a Python int: bit i is set when the i-th
+fluent of the model, in id order, holds. Each action of the
+relaxed-reachable set becomes a precondition mask, one keep/add mask
+pair that folds every effect certain to fire (an empty condition, or
+one implied by the precondition), and a (condition, keep, add) triple
+per other conditional effect whose condition is relaxed-reachable; a
+condition outside that set never holds. A successor is
+``(state & keep) | add`` once the keep and add masks of the conditional
+effects that hold in the pre-state are folded in: triggered deletes are
+removed, then adds applied, so adds win, as in ``model.apply_action``.
+
+The relaxed-reachable set is computed on a model's first search and
+the masks on its first search that expands a state; both are kept in
+the model's ``_search`` dict. Neither depends on the goal, so a
+``with_goal`` copy shares that dict with its source and only the goal
+mask is built per call; a projection made by ``without`` gets an empty
+one. Plans, results
+and every signature keep fluent ids and action names.
 """
 
 from __future__ import annotations
@@ -23,8 +38,9 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import EnumerationBudgetError
-from .model import Plan, PlanningModel, State, apply_action
+# apply_action is not called here; the benchmark's tracer counts
+# generated states by patching noplan.search.apply_action
+from .model import Plan, PlanningModel, apply_action  # noqa: F401
 
 SOLVABLE = "solvable"
 UNSOLVABLE = "unsolvable"
@@ -79,6 +95,42 @@ def relaxed_reachable(m: PlanningModel, banned=frozenset()) -> set[int]:
     return reached
 
 
+def _compile(m: PlanningModel, reached: set[int]):
+    """The search masks of m: (bits, init, ops).
+
+    bits maps each fluent id to its bit and init is the initial state.
+    ops holds (precondition, keep, add, conditional triples, name) for
+    each action whose precondition is relaxed-reachable, in model action
+    order.
+    """
+    bits = {f: 1 << i for i, f in enumerate(sorted(m.fluents))}
+    # keep masks are complements within the model's bits, not a bare ~,
+    # so every state stays a non-negative int, on which & and | are faster
+    full = (1 << len(bits)) - 1
+    ops = []
+    for a in m.actions:
+        if not a.prec <= reached:
+            continue
+        dels = adds = 0
+        conds = []
+        for e in a.effects:
+            if e.condition <= a.prec:
+                dels |= _mask(bits, e.dels)
+                adds |= _mask(bits, e.adds)
+            elif e.condition <= reached:
+                conds.append((_mask(bits, e.condition), full & ~_mask(bits, e.dels),
+                              _mask(bits, e.adds)))
+        ops.append((_mask(bits, a.prec), full & ~dels, adds, tuple(conds), a.name))
+    return bits, _mask(bits, m.init), tuple(ops)
+
+
+def _mask(bits: dict[int, int], fluents) -> int:
+    out = 0
+    for f in fluents:
+        out |= bits[f]
+    return out
+
+
 def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None) -> SearchResult:
     """Decide whether m has a valid plan; exact unless a budget trips.
 
@@ -89,13 +141,20 @@ def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None) -> Sea
     limits = limits or SearchLimits()
     if m.goal <= m.init:
         return SearchResult(SOLVABLE, ())
-    reached = relaxed_reachable(m)
+    tables = m._search
+    reached = tables.get("reached")
+    if reached is None:
+        reached = tables["reached"] = relaxed_reachable(m)
     if not m.goal <= reached:
         return SearchResult(UNSOLVABLE)
-    actions = [a for a in m.actions if a.prec <= reached]
+    masks = tables.get("masks")
+    if masks is None:
+        masks = tables["masks"] = _compile(m, reached)
+    bits, init, ops = masks
+    goal = _mask(bits, m.goal)
     deadline = time.monotonic() + limits.max_seconds
-    queue: deque[State] = deque([m.init])
-    parent: dict[State, tuple[State, str] | None] = {m.init: None}
+    queue: deque[int] = deque([init])
+    parent: dict[int, tuple[int, str] | None] = {init: None}
     expanded = 0
     while queue:
         if expanded >= limits.max_nodes:
@@ -104,14 +163,18 @@ def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None) -> Sea
             return SearchResult(EXHAUSTED, None, f"time budget {limits.max_seconds}s reached")
         state = queue.popleft()
         expanded += 1
-        for a in actions:
-            if not a.prec <= state:
+        for pre, keep, add, conds, name in ops:
+            if state & pre != pre:
                 continue
-            succ = apply_action(state, a)
+            for cond, cond_keep, cond_add in conds:
+                if state & cond == cond:
+                    keep &= cond_keep
+                    add |= cond_add
+            succ = (state & keep) | add
             if succ in parent:
                 continue
-            parent[succ] = (state, a.name)
-            if m.goal <= succ:
+            parent[succ] = (state, name)
+            if succ & goal == goal:
                 return SearchResult(SOLVABLE, _reconstruct(parent, succ))
             queue.append(succ)
     return SearchResult(UNSOLVABLE)
@@ -127,48 +190,3 @@ def _reconstruct(parent, state) -> Plan:
         cur, name = entry
         steps.append(name)
     return tuple(reversed(steps))
-
-
-def enumerate_plans(m: PlanningModel, max_len: int, max_nodes: int = 2_000_000) -> set[Plan]:
-    """All valid plans of length <= max_len, by exhaustive tree walk.
-
-    Distinct action sequences only; loops through repeated states are
-    allowed. Raises EnumerationBudgetError past max_nodes tree nodes.
-    """
-    plans: set[Plan] = set()
-    nodes = 0
-
-    def walk(state: State, prefix: list[str]) -> None:
-        nonlocal nodes
-        if m.goal <= state:
-            plans.add(tuple(prefix))
-        if len(prefix) == max_len:
-            return
-        for a in m.actions:
-            nodes += 1
-            if nodes > max_nodes:
-                raise EnumerationBudgetError(f"enumeration exceeded {max_nodes} nodes")
-            if a.prec <= state:
-                prefix.append(a.name)
-                walk(apply_action(state, a), prefix)
-                prefix.pop()
-
-    walk(m.init, [])
-    return plans
-
-
-def reachable_states(m: PlanningModel, max_states: int = 1_000_000) -> set[State]:
-    """Exhaustive forward reachability; utility for oracles and checks."""
-    seen = {m.init}
-    frontier = [m.init]
-    while frontier:
-        state = frontier.pop()
-        for a in m.actions:
-            if a.prec <= state:
-                succ = apply_action(state, a)
-                if succ not in seen:
-                    if len(seen) >= max_states:
-                        raise EnumerationBudgetError(f"more than {max_states} reachable states")
-                    seen.add(succ)
-                    frontier.append(succ)
-    return seen

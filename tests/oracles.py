@@ -8,12 +8,140 @@ code paths it is meant to check.
 from __future__ import annotations
 
 import itertools
+import time
+from collections import deque
 
 from noplan import pddl
 from noplan.abstraction import concretize, diff_models
+from noplan.errors import EnumerationBudgetError
 from noplan.landmarks import GREEDY_NECESSARY, NATURAL, NECESSARY, LandmarkGraph
-from noplan.model import Action, Effect, PlanningModel, apply_action, holds
-from noplan.search import decide_solvable, enumerate_plans
+from noplan.model import Action, DnfFormula, Effect, Plan, PlanningModel, State, apply_action, holds
+from noplan.search import (
+    EXHAUSTED,
+    SOLVABLE,
+    UNSOLVABLE,
+    SearchLimits,
+    SearchResult,
+    decide_solvable,
+    relaxed_reachable,
+)
+
+
+def decide_solvable_by_sets(m: PlanningModel, limits: SearchLimits | None = None) -> SearchResult:
+    """decide_solvable as a breadth-first search over frozenset states.
+
+    The same relaxed early exit, action filter, successor order, goal
+    test at generation and per-expansion budgets, but every state is a
+    frozenset of fluent ids and every successor comes from apply_action.
+    """
+    limits = limits or SearchLimits()
+    if m.goal <= m.init:
+        return SearchResult(SOLVABLE, ())
+    reached = relaxed_reachable(m)
+    if not m.goal <= reached:
+        return SearchResult(UNSOLVABLE)
+    actions = [a for a in m.actions if a.prec <= reached]
+    deadline = time.monotonic() + limits.max_seconds
+    queue: deque[State] = deque([m.init])
+    parent: dict[State, tuple[State, str] | None] = {m.init: None}
+    expanded = 0
+    while queue:
+        if expanded >= limits.max_nodes:
+            return SearchResult(EXHAUSTED, None, f"node budget {limits.max_nodes} reached")
+        if time.monotonic() > deadline:
+            return SearchResult(EXHAUSTED, None, f"time budget {limits.max_seconds}s reached")
+        state = queue.popleft()
+        expanded += 1
+        for a in actions:
+            if not a.prec <= state:
+                continue
+            succ = apply_action(state, a)
+            if succ in parent:
+                continue
+            parent[succ] = (state, a.name)
+            if m.goal <= succ:
+                return SearchResult(SOLVABLE, _reconstruct(parent, succ))
+            queue.append(succ)
+    return SearchResult(UNSOLVABLE)
+
+
+def _reconstruct(parent, state) -> Plan:
+    steps: list[str] = []
+    cur = state
+    while True:
+        entry = parent[cur]
+        if entry is None:
+            break
+        cur, name = entry
+        steps.append(name)
+    return tuple(reversed(steps))
+
+
+def enumerate_plans(m: PlanningModel, max_len: int, max_nodes: int = 2_000_000) -> set[Plan]:
+    """All valid plans of length <= max_len, by exhaustive tree walk.
+
+    Distinct action sequences only; loops through repeated states are
+    allowed. Raises EnumerationBudgetError past max_nodes tree nodes.
+    """
+    plans: set[Plan] = set()
+    nodes = 0
+
+    def walk(state: State, prefix: list[str]) -> None:
+        nonlocal nodes
+        if m.goal <= state:
+            plans.add(tuple(prefix))
+        if len(prefix) == max_len:
+            return
+        for a in m.actions:
+            nodes += 1
+            if nodes > max_nodes:
+                raise EnumerationBudgetError(f"enumeration exceeded {max_nodes} nodes")
+            if a.prec <= state:
+                prefix.append(a.name)
+                walk(apply_action(state, a), prefix)
+                prefix.pop()
+
+    walk(m.init, [])
+    return plans
+
+
+def reachable_states(m: PlanningModel, max_states: int = 1_000_000) -> set[State]:
+    """Exhaustive forward reachability."""
+    seen = {m.init}
+    frontier = [m.init]
+    while frontier:
+        state = frontier.pop()
+        for a in m.actions:
+            if a.prec <= state:
+                succ = apply_action(state, a)
+                if succ not in seen:
+                    if len(seen) >= max_states:
+                        raise EnumerationBudgetError(f"more than {max_states} reachable states")
+                    seen.add(succ)
+                    frontier.append(succ)
+    return seen
+
+
+def verify_landmark_oracle(m: PlanningModel, formula: DnfFormula, max_len: int,
+                           max_nodes: int = 2_000_000) -> bool:
+    """Ground truth by enumeration: every bounded plan passes through formula.
+
+    The initial state and every intermediate state count; vacuously true
+    when no plan exists within the bound.
+    """
+    for plan in enumerate_plans(m, max_len, max_nodes):
+        state = m.init
+        if holds(state, formula):
+            continue
+        hit = False
+        for name in plan:
+            state = apply_action(state, m.action(name))
+            if holds(state, formula):
+                hit = True
+                break
+        if not hit:
+            return False
+    return True
 
 
 def replay(m: PlanningModel, plan):

@@ -27,10 +27,10 @@ from noplan.errors import (
 )
 from noplan.model import validate_plan
 from noplan.pddl import ground, parse_model
-from noplan.search import SearchLimits, decide_solvable, enumerate_plans
+from noplan.search import SearchLimits, decide_solvable
 
 from .conftest import INSTANCES, build_model, minirover_groups
-from .oracles import project_by_rebuild
+from .oracles import enumerate_plans, project_by_rebuild
 from .test_search import micro_models
 
 

@@ -27,7 +27,7 @@ from noplan.explain import STATUS_EXPLAINED, explain
 from noplan.landmarks import extract_landmarks
 from noplan.pddl import ground, parse_model
 from noplan.random_models import MicroConfig, break_by_deletion, random_model, unsolvable_corpus
-from noplan.search import SearchLimits, decide_solvable, reachable_states
+from noplan.search import SearchLimits, decide_solvable
 
 from .conftest import INSTANCES, minirover_groups
 from .oracles import (
@@ -36,6 +36,7 @@ from .oracles import (
     brute_force_explanations,
     check_orderings_on_plans,
     landmark_holds_on_all_plans,
+    reachable_states,
     stripped_bounded_plans,
 )
 

@@ -23,10 +23,10 @@ from noplan.landmarks import (
     linearize,
 )
 from noplan.model import DnfFormula, validate_plan
-from noplan.search import decide_solvable, reachable_states
+from noplan.search import decide_solvable
 
 from .conftest import build_model
-from .oracles import achievability_oracle
+from .oracles import achievability_oracle, reachable_states
 from .test_search import micro_models
 
 

@@ -24,10 +24,15 @@ from noplan.advice import (
 from noplan.errors import AdviceError, InvalidPlanError
 from noplan.model import normalize_dnf
 from noplan.pddl import parse_ground_formula
-from noplan.search import decide_solvable, enumerate_plans, reachable_states
+from noplan.search import decide_solvable
 
 from .conftest import build_model
-from .oracles import accepted_bounded_plans, stripped_bounded_plans
+from .oracles import (
+    accepted_bounded_plans,
+    enumerate_plans,
+    reachable_states,
+    stripped_bounded_plans,
+)
 
 
 def _formula(m, text):

@@ -177,6 +177,45 @@ def test_explain_complement_predicate_in_second_group_exit_two(tmp_path, capsys)
     assert err.count("\n") == 1
 
 
+def _minirover_with(tmp_path, predicate):
+    """minirover's domain plus a nullary predicate and an action cheat that adds it."""
+    domain = (MINIROVER / "domain.pddl").read_text()
+    domain = domain.replace("(have ?c - charge))", f"(have ?c - charge)\n               ({predicate}))")
+    domain = domain.rstrip()[:-1] + f"(:action cheat :parameters () :effect ({predicate})))\n"
+    d = tmp_path / "d.pddl"
+    d.write_text(domain)
+    return d
+
+
+def test_explain_predicate_named_like_landmark_bookkeeping_exit_two(tmp_path, capsys):
+    # first-time-lm1 would merge with the achievability compile's flag for landmark 1
+    d = _minirover_with(tmp_path, "first-time-lm1")
+    code = main([
+        "explain", "--domain", str(d),
+        "--problem", str(MINIROVER / "problem.pddl"),
+        "--lattice", str(MINIROVER / "lattice.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "first-time-lm1" in err
+    assert err.count("\n") == 1
+
+
+def test_explain_predicate_named_like_advice_bookkeeping_exit_two(tmp_path, capsys):
+    # goal-accept would merge with the advice compile's acceptance flag
+    d = _minirover_with(tmp_path, "goal-accept")
+    code = main([
+        "explain", "--domain", str(d),
+        "--problem", str(MINIROVER / "problem.pddl"),
+        "--lattice", str(MINIROVER / "lattice.json"),
+        "--advice", str(MINIROVER / "advice-block-first-move.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "goal-accept" in err
+    assert err.count("\n") == 1
+
+
 def test_explain_budget_exit_three(capsys):
     code = main([
         "explain",

@@ -11,13 +11,16 @@ from noplan.landmarks import (
     extract_landmarks,
     graph_to_json,
     linearize,
-    verify_landmark_oracle,
 )
 from noplan.model import DnfFormula, holds
-from noplan.search import reachable_states
 
 from .conftest import build_model
-from .oracles import check_orderings_on_plans, landmark_holds_on_all_plans
+from .oracles import (
+    check_orderings_on_plans,
+    landmark_holds_on_all_plans,
+    reachable_states,
+    verify_landmark_oracle,
+)
 
 
 def _formula_names(m, lm):

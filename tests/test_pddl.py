@@ -160,7 +160,7 @@ def test_complement_closure_on_all_reachable_states():
   (:objects a b)
   (:init (at a) (at b) (clear a))
   (:goal (and (mark a) (mark b))))"""
-    from noplan.search import reachable_states
+    from .oracles import reachable_states
 
     m = ground(parse_model(domain, problem))
     pairs = []

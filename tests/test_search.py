@@ -3,15 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noplan.errors import EnumerationBudgetError
-from noplan.model import validate_plan
-from noplan.search import (
-    SearchLimits,
-    decide_solvable,
-    enumerate_plans,
-    reachable_states,
-)
+from noplan.model import PlanningModel, validate_plan
+from noplan.search import SearchLimits, decide_solvable
 
 from .conftest import build_model
+from .oracles import decide_solvable_by_sets, enumerate_plans, project_by_rebuild, reachable_states
 
 
 def test_minirover_unsolvable(minirover):
@@ -108,3 +104,46 @@ def test_decide_solvable_deterministic(m):
     a = decide_solvable(m)
     b = decide_solvable(m)
     assert a == b
+
+
+@given(micro_models(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_bitmask_search_matches_set_search(m, k):
+    assert decide_solvable(m) == decide_solvable_by_sets(m)
+    budget = SearchLimits(max_nodes=k)
+    assert decide_solvable(m, budget) == decide_solvable_by_sets(m, budget)
+
+
+@pytest.mark.parametrize("effects", [
+    # unconditional add, conditional delete of the same atom
+    [([], ["g"], []), (["c"], [], ["g"])],
+    # conditional add, unconditional delete of the same atom
+    [([], [], ["g"]), (["c"], ["g"], [])],
+])
+def test_adds_win_over_deletes_of_other_effects(effects):
+    m, _ = build_model(["c", "g"], [("a", [], effects)], ["c"], ["g"])
+    result = decide_solvable(m)
+    assert result.plan == ("a",)
+    assert result == decide_solvable_by_sets(m)
+
+
+def test_projection_is_decided_on_its_own_tables(minirover):
+    # searched first, so the parent's tables exist when the projection is made
+    assert decide_solvable(minirover).status == "unsolvable"
+    rubble = frozenset(f for f in minirover.fluents if minirover.table.fluent(f).name == "clear")
+    projected = minirover.without(rubble)
+    result = decide_solvable(projected)
+    assert result.plan == ("move_l1_l2", "move_l2_l3")
+    assert decide_solvable(minirover).status == "unsolvable"
+
+
+@given(micro_models(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_derived_models_match_fresh_ones(m, data):
+    decide_solvable(m)
+    # goal fluents stay, so the projection still has something to search for
+    gone = frozenset(data.draw(st.sets(st.sampled_from(sorted(m.fluents))))) - m.goal
+    assert decide_solvable(m.without(gone)) == decide_solvable_by_sets(project_by_rebuild(m, gone))
+    goal = frozenset(data.draw(st.sets(st.sampled_from(sorted(m.fluents)), min_size=1)))
+    fresh = PlanningModel(m.table, m.fluents, m.actions, m.init, goal)
+    assert decide_solvable(m.with_goal(goal)) == decide_solvable_by_sets(fresh)
