@@ -38,8 +38,6 @@ from .advice import (
 )
 from .explain import (
     Explanation,
-    ExplanationReport,
-    build_report,
     exemplar_failure,
     explain,
     parse_machine,

@@ -3,23 +3,30 @@
 A lattice is addressed by subsets of named fluent groups; projecting a
 group removes all of its member fluents from every component of the
 model, which keeps every concrete plan valid in the abstraction. Nodes
-are built lazily from the root and memoized; a projection shares every
-action and effect the projected fluents do not touch. Each node is
-decided once: by replaying a plan the lattice already found, when one
-is valid on the node, and otherwise by a search. So a node's plan is a
-valid plan, and it is the first shortest one only when the node was
-searched; every "unsolvable" comes from a search. The explanatory-fluent
-search walks candidate group subsets in nondecreasing update-cost
-order, so the first subset whose restoration makes every
-minimum-abstraction-set member unsolvable is also the cheapest.
+are made lazily and memoized. Each is decided once, in the bit space of
+the root's search masks, compiled once per lattice: a node's masks are
+the root's with the bits of its projected fluents cleared. A node is
+decided by replaying a plan the lattice already found, when one is
+valid on its masks, and otherwise by a search over them. So a node's
+plan is a valid plan, and it is the first shortest one only when the
+node was searched; every "unsolvable" comes from a search. A node's
+model, the root projected with ``project_model`` (sharing every action
+and effect the projected fluents do not touch), is built only when
+something reads it: the pipeline reads those of the explanation's
+members and their concretizations. The explanatory-fluent search walks
+candidate group subsets in nondecreasing update-cost order, so the
+first subset whose restoration makes every minimum-abstraction-set
+member unsolvable is also the cheapest.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .errors import (
     LatticeError,
@@ -31,8 +38,17 @@ from .errors import (
     RootSolvableError,
     UnsolvableEverywhereError,
 )
-from .model import Plan, PlanningModel, validate_plan
-from .search import SOLVABLE, SearchLimits, SearchResult, decide_solvable
+from .model import Plan, PlanningModel
+from .search import (
+    SOLVABLE,
+    SearchLimits,
+    SearchResult,
+    compile_masks,
+    decide_masks,
+    fluent_mask,
+    project_ops,
+    replays,
+)
 
 INIT_LITERAL = "init-literal"
 GOAL_LITERAL = "goal-literal"
@@ -80,16 +96,24 @@ class ExplanatorySet:
 
 @dataclass
 class LatticeNode:
-    """One lattice element: its projected groups, model and decision.
+    """One lattice element: its projected groups, decision and model.
 
-    ``solvable`` is None until decided. A solvable decision's plan is
-    valid on ``model``; it is the first shortest plan only when this
-    node was searched rather than decided by replay.
+    ``gone`` holds the fluents of the projected groups. ``model``, the
+    root without them, is built the first time it is read; deciding a
+    node does not read it. ``solvable`` is None until decided. A
+    solvable decision's plan is valid on ``model``; it is the first
+    shortest plan only when this node was searched rather than decided
+    by replay.
     """
 
     projected: frozenset[str]
-    model: PlanningModel
+    root: PlanningModel | None = field(repr=False, compare=False)
+    gone: frozenset[int] = frozenset()
     solvable: SearchResult | None = None
+
+    @functools.cached_property
+    def model(self) -> PlanningModel:
+        return project_model(self.root, self.gone) if self.gone else self.root
 
     def sort_key(self):
         return tuple(sorted(self.projected))
@@ -137,6 +161,8 @@ class AbstractionLattice:
             self.groups[g.name] = g
         self.forbidden = tuple(frozenset(f) for f in forbidden)
         for combo in self.forbidden:
+            if not combo:
+                raise LatticeError("a forbidden combination is empty; it would forbid every node")
             if not combo <= set(self.groups):
                 raise LatticeError("forbidden combination names an unknown group")
         self._nodes: dict[frozenset[str], LatticeNode] = {
@@ -145,6 +171,9 @@ class AbstractionLattice:
         # plans of the nodes this lattice searched and found solvable,
         # in the order found
         self._plans: list[Plan] = []
+        # the root's search masks (all bits, init, goal, ops, ops by
+        # name, group masks), compiled on the first decision
+        self._masks = None
 
     @property
     def root_node(self) -> LatticeNode:
@@ -163,7 +192,7 @@ class AbstractionLattice:
         node = self._nodes.get(projected)
         if node is None:
             gone = frozenset().union(*(self.groups[g].members for g in projected))
-            node = LatticeNode(projected, project_model(self.root, gone))
+            node = LatticeNode(projected, self.root, gone)
             self._nodes[projected] = node
         return node
 
@@ -185,23 +214,37 @@ class AbstractionLattice:
         )
 
     def solvability(self, node: LatticeNode) -> SearchResult:
-        """The node's decision, made once.
+        """The node's decision, made once, on the root's search masks.
 
-        Every node has the root's action names, so a plan found at one
-        node can be replayed at another: the first stored plan valid on
-        the node's model proves it solvable. Only when none is valid does
-        a search decide, so every "unsolvable" comes from a search. Under
-        tight ``limits`` replay can decide a node whose own search would
-        be exhausted, so which nodes end up exhausted can depend on the
-        order in which nodes are decided.
+        A node's masks are the root's with the bits of its projected
+        fluents cleared (``search.project_ops``), so no node model is
+        built. Every node has the root's action names, so a plan found
+        at one node can be replayed at another: the first stored plan
+        valid on the node's masks proves it solvable. Only when none is
+        valid does a search (``search.decide_masks``) decide, so every
+        "unsolvable" comes from a search. Under tight ``limits`` replay
+        can decide a node whose own search would be exhausted, so which
+        nodes end up exhausted can depend on the order in which nodes
+        are decided.
         """
         if node.solvable is None:
+            if self._masks is None:
+                bits, init, ops = compile_masks(self.root)
+                groups = {name: fluent_mask(bits, g.members) for name, g in self.groups.items()}
+                self._masks = ((1 << len(bits)) - 1, init, fluent_mask(bits, self.root.goal),
+                               ops, {op[4]: op for op in ops}, groups)
+            full, init, goal, ops, by_name, groups = self._masks
+            keep = full  # non-negative, as the keep masks of compile_masks
+            for name in node.projected:
+                keep &= ~groups[name]
+            init &= keep
+            goal &= keep
             for plan in self._plans:
-                if validate_plan(node.model, plan).valid:
+                if replays(plan, init, goal, by_name, keep):
                     node.solvable = SearchResult(SOLVABLE, plan)
                     break
             else:
-                node.solvable = decide_solvable(node.model, self.limits)
+                node.solvable = decide_masks(init, goal, project_ops(ops, keep), self.limits)
                 if node.solvable.solvable:
                     self._plans.append(node.solvable.plan)
         return node.solvable
@@ -280,9 +323,10 @@ def find_explanatory_fluents(lat: AbstractionLattice,
     universe = sorted(set().union(*(n.projected for n in members)))
     if not universe:
         raise RootSolvableError("the concrete model is solvable; nothing to explain")
-    weight = {
-        g: len(_updates_for_fluents(lat.root, lat.groups[g].members)) for g in universe
-    }
+    # update sets of disjoint groups are disjoint, so one pass over the
+    # root yields every group's weight
+    owner = {f: g for g in universe for f in lat.groups[g].members}
+    weight = Counter(owner[u.fluent] for u in _updates_for_fluents(lat.root, frozenset(owner)))
 
     heap: list[tuple[int, int, tuple[str, ...], int]] = []
     for i, g in enumerate(universe):
@@ -333,7 +377,7 @@ def load_lattice_spec(text: str) -> LatticeSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LatticeSpecError(f"lattice spec is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "groups" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("groups"), list):
         raise LatticeSpecError("lattice spec must be an object with a 'groups' list")
     groups = []
     owner: dict[str, str] = {}
@@ -341,6 +385,8 @@ def load_lattice_spec(text: str) -> LatticeSpec:
         if not isinstance(item, dict) or "name" not in item or "predicates" not in item:
             raise LatticeSpecError("each group needs 'name' and 'predicates'")
         name = str(item["name"])
+        if not isinstance(item["predicates"], list):
+            raise LatticeSpecError(f"group {name}: 'predicates' must be a list")
         preds = tuple(str(p) for p in item["predicates"])
         if not preds:
             raise LatticeSpecError(f"group {name} lists no predicates")
@@ -350,13 +396,16 @@ def load_lattice_spec(text: str) -> LatticeSpec:
                     f"predicate {p} is listed by groups {owner[p]} and {name}"
                 )
         groups.append((name, preds))
-    forbidden = tuple(
-        frozenset(str(n) for n in combo) for combo in data.get("forbidden", [])
-    )
+    combos = data.get("forbidden", [])
+    if not isinstance(combos, list) or not all(isinstance(c, list) for c in combos):
+        raise LatticeSpecError("'forbidden' must be a list of lists of group names")
+    forbidden = tuple(frozenset(str(n) for n in combo) for combo in combos)
     names = {name for name, _ in groups}
     if len(names) != len(groups):
         raise LatticeSpecError("duplicate group names in lattice spec")
     for combo in forbidden:
+        if not combo:
+            raise LatticeSpecError("a forbidden combination is empty; it would forbid every node")
         if not combo <= names:
             raise LatticeSpecError("forbidden combination names an unknown group")
     return LatticeSpec(tuple(groups), forbidden)

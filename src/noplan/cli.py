@@ -115,7 +115,8 @@ def cmd_lattice(args) -> int:
         node = lat.node(projected)
         result = lat.solvability(node)
         label = "{" + ", ".join(sorted(projected)) + "}"
-        print(f"{label:<40} {len(node.model.fluents):>8} {result.status:>10}")
+        fluents = len(lat.root.fluents) - len(node.gone)
+        print(f"{label:<40} {fluents:>8} {result.status:>10}")
     return EXIT_OK
 
 

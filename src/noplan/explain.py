@@ -7,7 +7,10 @@ restoration breaks all of them, then extract landmarks one level up and
 scan for the first subgoal that the explanatory level can no longer
 achieve. Output is self-verified: the unsolvability claims behind a
 non-degenerate explanation are re-checked with fresh searches before the
-explanation is returned.
+explanation is returned. The lattice decides its nodes on projections of
+the root's search masks, while verification searches each explanatory
+level's model, projected from the root and compiled on its own, so the
+two decisions share no projection code.
 
 Degenerate cases: a solvable effective model yields a "solvable" report
 with a plan; a lattice whose top is already unsolvable yields an
@@ -84,12 +87,6 @@ class Explanation:
         if self.status == STATUS_TOP_UNSOLVABLE:
             return "unsolvable-at-top"
         return None
-
-
-@dataclass(frozen=True)
-class ExplanationReport:
-    machine: dict
-    human: str
 
 
 def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None = None,
@@ -303,10 +300,6 @@ def render(e: Explanation, fmt: str):
     if fmt == "human":
         return _render_human(e)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def build_report(e: Explanation) -> ExplanationReport:
-    return ExplanationReport(machine=render(e, "machine"), human=render(e, "human"))
 
 
 def _render_machine(e: Explanation) -> dict:

@@ -13,23 +13,31 @@ model action order. Budgets turn an undecided search into a
 resource-exhausted result, never a wrong answer.
 
 Inside the search a state is a Python int: bit i is set when the i-th
-fluent of the model, in id order, holds. Each action of the
-relaxed-reachable set becomes a precondition mask, one keep/add mask
-pair that folds every effect certain to fire (an empty condition, or
-one implied by the precondition), and a (condition, keep, add) triple
-per other conditional effect whose condition is relaxed-reachable; a
-condition outside that set never holds. A successor is
-``(state & keep) | add`` once the keep and add masks of the conditional
-effects that hold in the pre-state are folded in: triggered deletes are
-removed, then adds applied, so adds win, as in ``model.apply_action``.
+fluent of the model, in id order, holds. compile_masks turns each
+action into a precondition mask, one keep/add mask pair that folds
+every effect certain to fire (an empty condition, or one implied by the
+precondition), and a (condition, keep, add) triple per other
+conditional effect. A successor is ``(state & keep) | add`` once the
+keep and add masks of the conditional effects that hold in the
+pre-state are folded in: triggered deletes are removed, then adds
+applied, so adds win, as in ``model.apply_action``.
 
-The relaxed-reachable set is computed on a model's first search and
-the masks on its first search that expands a state; both are kept in
-the model's ``_search`` dict. Neither depends on the goal, so a
-``with_goal`` copy shares that dict with its source and only the goal
-mask is built per call; a projection made by ``without`` gets an empty
-one. Plans, results
-and every signature keep fluent ids and action names.
+decide_masks is the one search routine: the relaxed check over the
+masks, then the breadth-first search over the ops whose preconditions
+(and conditions) are relaxed-reachable. decide_solvable runs it on a
+model's masks. It first checks the relaxed-reachable fluent set itself,
+so a goal outside it is answered before any mask is compiled, and then
+compiles only the actions and effects inside the set. The set, the
+masks and decide_masks' own tables are kept in the model's ``_search``
+dict. None depends on the goal, so a ``with_goal`` copy shares that
+dict with its source and only the goal mask is built per call; a
+projection made by ``without`` gets an empty one.
+
+A lattice decides its nodes on its root's masks (see abstraction.py):
+compiled without the relaxed filter, since a projection can make more
+reachable, and projected by clearing bits (project_ops), with stored
+plans replayed on them (replays). Plans, results and every signature
+keep fluent ids and action names.
 """
 
 from __future__ import annotations
@@ -95,13 +103,15 @@ def relaxed_reachable(m: PlanningModel, banned=frozenset()) -> set[int]:
     return reached
 
 
-def _compile(m: PlanningModel, reached: set[int]):
+def compile_masks(m: PlanningModel, reached: set[int] | None = None):
     """The search masks of m: (bits, init, ops).
 
     bits maps each fluent id to its bit and init is the initial state.
     ops holds (precondition, keep, add, conditional triples, name) for
-    each action whose precondition is relaxed-reachable, in model action
-    order.
+    each action of m, in model action order. Given the relaxed-reachable
+    set reached, only the actions whose precondition lies inside it are
+    compiled, each with only the conditional effects whose condition
+    does: no other action or effect can ever fire.
     """
     bits = {f: 1 << i for i, f in enumerate(sorted(m.fluents))}
     # keep masks are complements within the model's bits, not a bare ~,
@@ -109,26 +119,61 @@ def _compile(m: PlanningModel, reached: set[int]):
     full = (1 << len(bits)) - 1
     ops = []
     for a in m.actions:
-        if not a.prec <= reached:
+        if reached is not None and not a.prec <= reached:
             continue
         dels = adds = 0
         conds = []
         for e in a.effects:
             if e.condition <= a.prec:
-                dels |= _mask(bits, e.dels)
-                adds |= _mask(bits, e.adds)
-            elif e.condition <= reached:
-                conds.append((_mask(bits, e.condition), full & ~_mask(bits, e.dels),
-                              _mask(bits, e.adds)))
-        ops.append((_mask(bits, a.prec), full & ~dels, adds, tuple(conds), a.name))
-    return bits, _mask(bits, m.init), tuple(ops)
+                dels |= fluent_mask(bits, e.dels)
+                adds |= fluent_mask(bits, e.adds)
+            elif reached is None or e.condition <= reached:
+                conds.append((fluent_mask(bits, e.condition), full & ~fluent_mask(bits, e.dels),
+                              fluent_mask(bits, e.adds)))
+        ops.append((fluent_mask(bits, a.prec), full & ~dels, adds, tuple(conds), a.name))
+    return bits, fluent_mask(bits, m.init), tuple(ops)
 
 
-def _mask(bits: dict[int, int], fluents) -> int:
+def fluent_mask(bits: dict[int, int], fluents) -> int:
     out = 0
     for f in fluents:
         out |= bits[f]
     return out
+
+
+def project_ops(ops, keep: int):
+    """ops with every bit outside keep cleared from preconditions,
+    conditions and adds, as ``PlanningModel.without`` clears fluents.
+
+    Deletes need no clearing: a state never holds a cleared bit.
+    """
+    return tuple(
+        (pre & keep, op_keep, add & keep,
+         tuple((cond & keep, cond_keep, cond_add & keep) for cond, cond_keep, cond_add in conds),
+         name)
+        for pre, op_keep, add, conds, name in ops
+    )
+
+
+def replays(plan: Plan, init: int, goal: int, ops_by_name, keep: int) -> bool:
+    """Whether plan leads from init to a goal state over the named ops
+    once the bits outside keep are cleared from them (see project_ops).
+
+    init and goal must already lie within keep.
+    """
+    state = init
+    for name in plan:
+        pre, op_keep, add, conds, _ = ops_by_name[name]
+        pre &= keep
+        if state & pre != pre:
+            return False
+        for cond, cond_keep, cond_add in conds:
+            cond &= keep
+            if state & cond == cond:
+                op_keep &= cond_keep
+                add |= cond_add
+        state = (state & op_keep) | (add & keep)
+    return state & goal == goal
 
 
 def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None) -> SearchResult:
@@ -138,20 +183,94 @@ def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None) -> Sea
     generated in model action order, so it is deterministic for a fixed
     model.
     """
-    limits = limits or SearchLimits()
     if m.goal <= m.init:
         return SearchResult(SOLVABLE, ())
     tables = m._search
     reached = tables.get("reached")
     if reached is None:
         reached = tables["reached"] = relaxed_reachable(m)
+    # the same exit as decide_masks', taken before any mask is compiled
     if not m.goal <= reached:
         return SearchResult(UNSOLVABLE)
     masks = tables.get("masks")
     if masks is None:
-        masks = tables["masks"] = _compile(m, reached)
+        masks = tables["masks"] = compile_masks(m, reached)
     bits, init, ops = masks
-    goal = _mask(bits, m.goal)
+    return decide_masks(init, fluent_mask(bits, m.goal), ops, limits, tables)
+
+
+def decide_masks(init: int, goal: int, ops, limits: SearchLimits | None = None,
+                 tables: dict | None = None) -> SearchResult:
+    """Decide whether a goal state is reachable from init over ops.
+
+    The masks are those of compile_masks, or a projection of them. The
+    relaxed-reachable bits and the ops that can fire within them do not
+    depend on the goal; given tables, they are kept there for the next
+    call with the same init and ops.
+    """
+    limits = limits or SearchLimits()
+    if goal & init == goal:
+        return SearchResult(SOLVABLE, ())
+    tables = {} if tables is None else tables
+    relaxed = tables.get("relaxed")
+    if relaxed is None:
+        relaxed = tables["relaxed"] = _relaxed(init, ops)
+    if goal & relaxed != goal:
+        return SearchResult(UNSOLVABLE)
+    live = tables.get("live")
+    if live is None:
+        live = tables["live"] = _live(ops, relaxed)
+    return _bfs(init, goal, live, limits)
+
+
+def _relaxed(init: int, ops) -> int:
+    """The bits reachable from init when deletes are ignored."""
+    reached = init
+    waiting = ops
+    while True:
+        before = reached
+        left = []
+        for op in waiting:
+            pre, _, add, conds, _ = op
+            if pre & reached != pre:
+                left.append(op)
+                continue
+            reached |= add
+            if conds:
+                for cond, _, cond_add in conds:
+                    if cond & reached == cond:
+                        reached |= cond_add
+                # a condition may be reached later
+                left.append(op)
+        if reached == before:
+            return reached
+        waiting = left
+
+
+def _live(ops, reached: int):
+    """The ops whose precondition lies within reached, each keeping only
+    the conditional effects whose condition does; a condition implied by
+    the precondition is folded into the op's keep and add masks.
+    """
+    out = []
+    for op in ops:
+        pre, keep, add, conds, name = op
+        if pre & reached != pre:
+            continue
+        if conds:
+            rest = []
+            for cond, cond_keep, cond_add in conds:
+                if cond & pre == cond:
+                    keep &= cond_keep
+                    add |= cond_add
+                elif cond & reached == cond:
+                    rest.append((cond, cond_keep, cond_add))
+            op = (pre, keep, add, tuple(rest), name)
+        out.append(op)
+    return tuple(out)
+
+
+def _bfs(init: int, goal: int, ops, limits: SearchLimits) -> SearchResult:
     deadline = time.monotonic() + limits.max_seconds
     queue: deque[int] = deque([init])
     parent: dict[int, tuple[int, str] | None] = {init: None}

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 
@@ -25,7 +26,8 @@ from noplan.errors import (
     RootSolvableError,
     UnsolvableEverywhereError,
 )
-from noplan.model import validate_plan
+from noplan.explain import explain
+from noplan.model import PlanningModel, validate_plan
 from noplan.pddl import ground, parse_model
 from noplan.search import SearchLimits, decide_solvable
 
@@ -75,6 +77,8 @@ def test_build_lattice_rejects_overlap(minirover):
     overlap = FluentGroup("both", rocks.members | conn.members)
     with pytest.raises(LatticeError, match="overlap"):
         build_lattice(minirover, [rocks, overlap])
+    with pytest.raises(LatticeError, match="empty"):
+        build_lattice(minirover, [rocks, conn], forbidden=[[]])
 
 
 def test_concretize_top_minus_rocks(minirover):
@@ -359,11 +363,20 @@ def lattices(draw):
 def test_replayed_decisions_match_fresh_search_on_rebuilt_projections(case):
     lat, order = case
     root = lat.root
+    plans = []  # the plans searched nodes found, in the order found
     for projected in order:
         node = lat.node(projected)
         result = lat.solvability(node)
         gone = frozenset().union(*(lat.groups[g].members for g in projected))
         rebuilt = project_by_rebuild(root, gone)
+        # the first stored plan valid on the projection decides the node
+        valid = [p for p in plans if validate_plan(rebuilt, p).valid]
+        if valid:
+            assert result.plan == valid[0]
+        else:
+            assert result == decide_solvable(rebuilt)
+            if result.solvable:
+                plans.append(result.plan)
         assert node.model == rebuilt
         for a in root.actions:
             assert node.model.action(a.name) == rebuilt.action(a.name)
@@ -376,6 +389,21 @@ def test_replayed_decisions_match_fresh_search_on_rebuilt_projections(case):
             assert validate_plan(node.model, result.plan).valid
 
 
+@given(lattices())
+@settings(max_examples=100, deadline=None)
+def test_node_decisions_match_search_on_rebuilt_projections(case):
+    lat, _ = case
+    root = lat.root
+    for limits in [SearchLimits()] + [SearchLimits(max_nodes=k) for k in range(7)]:
+        for projected in lat.all_projected_sets():
+            # a fresh lattice holds no plans to replay, so the node is searched
+            fresh = build_lattice(root, lat.groups.values(), lat.forbidden, limits)
+            node = fresh.node(projected)
+            result = fresh.solvability(node)
+            assert "model" not in vars(node)
+            assert result == decide_solvable(project_by_rebuild(root, node.gone), limits)
+
+
 def test_replay_decides_a_node_without_searching(minirover, monkeypatch):
     import noplan.abstraction as abstraction
 
@@ -383,14 +411,34 @@ def test_replay_decides_a_node_without_searching(minirover, monkeypatch):
     top = lat.node({"rocks", "conn"})
     assert lat.solvability(top).solvable
     calls = []
-    monkeypatch.setattr(abstraction, "decide_solvable",
-                        lambda m, limits=None: calls.append(m) or decide_solvable(m, limits))
+    search = abstraction.decide_masks
+    monkeypatch.setattr(abstraction, "decide_masks",
+                        lambda *args: calls.append(args) or search(*args))
     # the plan found at the top is valid once only rocks are projected
     rocks = lat.node({"rocks"})
     assert lat.solvability(rocks).plan == lat.solvability(top).plan
     assert calls == []
     # unsolvable decisions still come from a search
     assert not lat.solvability(lat.node({"conn"})).solvable
+    assert len(calls) == 1
+
+
+def test_replay_clears_projected_bits_from_effect_conditions(monkeypatch):
+    import noplan.abstraction as abstraction
+
+    # a adds g when p and q hold; q holds initially, p never does
+    m, ids = build_model(["p", "q", "g"], [("a", [], [(["p", "q"], ["g"], [])])], ["q"], ["g"])
+    lat = build_lattice(m, [FluentGroup("P", frozenset({ids["p"]})),
+                            FluentGroup("Q", frozenset({ids["q"]}))])
+    assert lat.solvability(lat.node({"P", "Q"})).plan == ("a",)
+    calls = []
+    search = abstraction.decide_masks
+    monkeypatch.setattr(abstraction, "decide_masks",
+                        lambda *args: calls.append(args) or search(*args))
+    # with p projected the condition is q alone, so the stored plan replays
+    assert lat.solvability(lat.node({"P"})).plan == ("a",)
+    assert calls == []
+    assert not lat.solvability(lat.node({"Q"})).solvable
     assert len(calls) == 1
 
 
@@ -498,3 +546,35 @@ def test_exemplar_plan_is_first_shortest_on_eight_groups(forbidden):
         # a plan replayed into members[0] would not be its first shortest
         assert len({decide_solvable(n.model).plan for n in members}) > 1
     _assert_exemplar_plan_is_first_shortest(members)
+
+
+@pytest.mark.parametrize("forbidden", [[], [["ice", "lava"], ["mud", "sand"]]])
+def test_explaining_builds_models_only_for_members_and_concretizations(forbidden, monkeypatch):
+    # the package's explain function hides its module of the same name
+    explain_module = importlib.import_module("noplan.explain")
+    m = ground(parse_model(*_obstacle_grid(8)))
+    spec = load_lattice_spec(json.dumps({
+        "groups": [{"name": o, "predicates": [f"has-{o}"]} for o in OBSTACLES],
+        "forbidden": forbidden,
+    }))
+    lattices, calls = [], []
+    build, without = explain_module.build_lattice, PlanningModel.without
+    monkeypatch.setattr(explain_module, "build_lattice",
+                        lambda *args: lattices.append(build(*args)) or lattices[-1])
+    monkeypatch.setattr(PlanningModel, "without",
+                        lambda self, gone: calls.append((self, gone)) or without(self, gone))
+    e = explain(m, spec)
+    recorded = list(calls)
+    monkeypatch.undo()
+    [lat] = lattices
+    members = minimum_abstraction_set(lat)
+    assert len(members) == (1 if not forbidden else 4)
+    targets = [concretize(lat, n, e.explanatory.groups & n.projected) for n in members]
+    built = [n for n in members + targets if n.gone]
+    # each member and concretization is projected from the root once
+    from_root = [gone for model, gone in recorded if model is m]
+    assert sorted(map(sorted, from_root)) == sorted(map(sorted, {n.gone for n in built}))
+    # the rest check that a concretization projects onto its member
+    models = [n.model for n in members + targets]
+    assert all(any(model is other for other in models)
+               for model, _ in recorded if model is not m)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from noplan.cli import main
 
 from .conftest import INSTANCES
@@ -86,6 +88,35 @@ def test_explain_lattice_predicate_in_two_groups_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "clear" in err
     assert err.count("\n") == 1
+
+
+MINIROVER_GROUPS = [{"name": "rocks", "predicates": ["clear"]},
+                    {"name": "conn", "predicates": ["conn"]}]
+
+
+@pytest.mark.parametrize("spec", [
+    {"groups": 5},
+    {"groups": MINIROVER_GROUPS, "forbidden": 5},
+    {"groups": MINIROVER_GROUPS, "forbidden": [5]},
+    {"groups": [{"name": "rocks", "predicates": 5}]},
+    # an empty combination would forbid every node, the root included
+    {"groups": MINIROVER_GROUPS, "forbidden": [[]]},
+], ids=["groups-int", "forbidden-int", "forbidden-combo-int", "predicates-int",
+        "forbidden-empty-combo"])
+def test_malformed_lattice_spec_exit_two(tmp_path, capsys, spec):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(spec))
+    for command in ("explain", "lattice"):
+        code = main([
+            command,
+            "--domain", str(MINIROVER / "domain.pddl"),
+            "--problem", str(MINIROVER / "problem.pddl"),
+            "--lattice", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
 
 def test_explain_advice_on_conditionally_readded_atom_exit_two(tmp_path, capsys):
