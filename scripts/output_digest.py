@@ -7,8 +7,9 @@ A refactor that must not change behaviour prints the same digest before
 and after. The inputs are the bundled instances, each run through
 ``noplan explain`` with no advice and with each of its advice files,
 under ``--exemplar`` auto, always and never, in ``--format`` json and
-human; and 300 instances of ``random_models.unsolvable_corpus(20240,
-300)``, explained through the library and rendered both ways. The exit
+human; and 300 instances of ``unsolvable_corpus(20240, 300)`` from
+``tests/random_models.py``, the seeded corpus generator of the test
+suite, explained through the library and rendered both ways. The exit
 code and standard error of every CLI run, and the type and message of
 any exception, are part of the digest.
 """
@@ -22,13 +23,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from noplan.abstraction import LatticeSpec  # noqa: E402
 from noplan.cli import main as cli_main  # noqa: E402
 from noplan.errors import NoplanError  # noqa: E402
 from noplan.explain import explain, machine_json, render  # noqa: E402
-from noplan.random_models import unsolvable_corpus  # noqa: E402
+from tests.random_models import unsolvable_corpus  # noqa: E402
 
 INSTANCES = ROOT / "instances"
 EXEMPLARS = ("auto", "always", "never")

@@ -29,7 +29,6 @@ from .achievability import FailedSubgoal, compile_achievability, first_unachieva
 from .advice import (
     ConstrainedModel,
     ConstraintFsa,
-    accepts,
     compose,
     fsa_product,
     parse_advice,
@@ -40,7 +39,6 @@ from .explain import (
     Explanation,
     exemplar_failure,
     explain,
-    parse_machine,
     render,
 )
 from .landmarks import (

@@ -107,7 +107,7 @@ class LatticeNode:
     """
 
     projected: frozenset[str]
-    root: PlanningModel | None = field(repr=False, compare=False)
+    root: PlanningModel = field(repr=False, compare=False)
     gone: frozenset[int] = frozenset()
     solvable: SearchResult | None = None
 

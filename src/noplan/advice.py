@@ -17,7 +17,10 @@ to bookkeeping steps, exactly the base plans the automaton accepts: one
 copy of each base action per automaton transition carrying its label,
 pure guard-step actions per guard disjunct, and an accept step that sets
 a fresh goal fluent from any accepting state. Every move clears the
-accept fluent again, so the accept step is only useful last.
+accept fluent again, so the accept step is only useful last. The
+compilation is the only reading of advice in this package; the tests
+check it against a direct run of the automaton over a plan's trace
+(``accepts`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .model import (
     DnfFormula,
     Effect,
     PlanningModel,
-    holds_closed_world,
     maintain_complements,
     normalize_dnf,
     validate_plan,
@@ -105,13 +107,6 @@ class ConstraintFsa:
         dead = self.accepting - reach
         if dead:
             logger.warning("accepting states %s are unreachable", sorted(dead))
-
-    def action_moves(self, states: set[str], name: str) -> set[str]:
-        return {
-            t.target
-            for t in self.transitions
-            if t.source in states and isinstance(t.label, ActionLabel) and t.label.name == name
-        }
 
     def guard_transitions(self):
         return [t for t in self.transitions if isinstance(t.label, GuardLabel)]
@@ -277,32 +272,43 @@ def _str_arg(item: dict, key: str) -> str:
 def _parse_explicit_fsa(data, m: PlanningModel) -> ConstraintFsa:
     if not isinstance(data, dict):
         raise AdviceError("'fsa' must be an object")
-    try:
-        states = frozenset(str(s) for s in data["states"])
-        initial = str(data["initial"])
-        accepting = frozenset(str(s) for s in data["accepting"])
-        raw_transitions = data["transitions"]
-    except KeyError as exc:
-        raise AdviceError(f"fsa is missing field {exc}") from exc
+    states = frozenset(str(s) for s in _fsa_list(data, "states"))
+    if "initial" not in data:
+        raise AdviceError("fsa is missing field 'initial'")
+    initial = str(data["initial"])
+    accepting = frozenset(str(s) for s in _fsa_list(data, "accepting"))
+    raw_transitions = _fsa_list(data, "transitions")
     for s in states:
         if not all(c.isalnum() or c in "-_" for c in s) or not s:
             raise AdviceError(f"state name {s!r} must be alphanumeric with - or _")
     transitions = []
     for t in raw_transitions:
+        if not isinstance(t, dict) or "from" not in t or "to" not in t:
+            raise AdviceError("each fsa transition must be an object with 'from' and 'to'")
         label = t.get("label", {})
+        if not isinstance(label, dict):
+            raise AdviceError("transition label must be an object")
         if "action" in label:
-            transitions.append(
-                Transition(str(t["from"]), ActionLabel(_check_action(m, label["action"])),
-                           str(t["to"]))
-            )
+            kind = "action"
         elif "formula" in label:
-            transitions.append(
-                Transition(str(t["from"]), GuardLabel(_parse_formula(m, label["formula"])),
-                           str(t["to"]))
-            )
+            kind = "formula"
         else:
             raise AdviceError("transition label needs 'action' or 'formula'")
+        text = label[kind]
+        if not isinstance(text, str):
+            raise AdviceError(f"transition label {kind!r} must be a string")
+        parsed = (ActionLabel(_check_action(m, text)) if kind == "action"
+                  else GuardLabel(_parse_formula(m, text)))
+        transitions.append(Transition(str(t["from"]), parsed, str(t["to"])))
     return ConstraintFsa(states, initial, accepting, tuple(transitions))
+
+
+def _fsa_list(data: dict, key: str) -> list:
+    if key not in data:
+        raise AdviceError(f"fsa is missing field {key!r}")
+    if not isinstance(data[key], list):
+        raise AdviceError(f"fsa field {key!r} must be a list")
+    return data[key]
 
 
 def fsa_product(a: ConstraintFsa, b: ConstraintFsa) -> ConstraintFsa:
@@ -332,56 +338,18 @@ def fsa_product(a: ConstraintFsa, b: ConstraintFsa) -> ConstraintFsa:
                     Transition(name(p, tb.source), tb.label, name(p, tb.target))
                 )
 
-    initial = name(a.initial, b.initial)
-    states = {name(p, q) for p in a.states for q in b.states}
-    accepting = {name(p, q) for p in a.accepting for q in b.accepting}
-
-    # trim to label-level reachable states to keep products small
-    seen = {initial}
-    frontier = [initial]
-    while frontier:
-        s = frontier.pop()
-        for t in transitions:
-            if t.source == s and t.target not in seen:
-                seen.add(t.target)
-                frontier.append(t.target)
-    transitions = [t for t in transitions if t.source in seen and t.target in seen]
-    return ConstraintFsa(
-        frozenset(seen), initial, frozenset(accepting & seen), tuple(transitions)
+    product = ConstraintFsa(
+        frozenset(name(p, q) for p in a.states for q in b.states),
+        name(a.initial, b.initial),
+        frozenset(name(p, q) for p in a.accepting for q in b.accepting),
+        tuple(transitions),
     )
-
-
-def _guard_closure(fsa: ConstraintFsa, states: set[str], trace_state,
-                   table) -> set[str]:
-    out = set(states)
-    changed = True
-    while changed:
-        changed = False
-        for t in fsa.guard_transitions():
-            if t.source in out and t.target not in out:
-                if holds_closed_world(table, trace_state, t.label.formula):
-                    out.add(t.target)
-                    changed = True
-    return out
-
-
-def accepts(fsa: ConstraintFsa, plan, m: PlanningModel) -> bool:
-    """True when some run over the plan's actions ends accepting.
-
-    Guard transitions are taken as optional epsilon moves whenever their
-    formula holds in the current trace state; the subset construction
-    below covers every firing schedule at once.
-    """
-    trace = validate_plan(m, plan)
-    if not trace.valid:
-        raise InvalidPlanError("accepts() needs a plan that is valid in the model")
-    current = _guard_closure(fsa, {fsa.initial}, trace.states[0], m.table)
-    for i, name in enumerate(trace.plan):
-        current = fsa.action_moves(current, name)
-        if not current:
-            return False
-        current = _guard_closure(fsa, current, trace.states[i + 1], m.table)
-    return bool(current & fsa.accepting)
+    # trim to label-level reachable states to keep products small
+    seen = product._label_reachable()
+    return ConstraintFsa(
+        seen, product.initial, product.accepting & seen,
+        tuple(t for t in transitions if t.source in seen and t.target in seen),
+    )
 
 
 @dataclass(frozen=True)
@@ -441,20 +409,17 @@ def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
         if isinstance(t.label, ActionLabel):
             by_label.setdefault(t.label.name, []).append(t)
 
+    def move(t: Transition) -> Effect:
+        """The automaton-state change of taking t; every move clears the accept fluent."""
+        if t.source == t.target:
+            return Effect(frozenset(), frozenset(), frozenset({accept_fluent}))
+        return Effect(frozenset(), frozenset({in_state[t.target]}),
+                      frozenset({in_state[t.source], accept_fluent}))
+
     for a in base_actions:
         for t in sorted(by_label.get(a.name, ()), key=lambda t: (t.source, t.target)):
             name = f"{a.name}--{t.source}--{t.target}"
-            if t.source == t.target:
-                swap = Effect(frozenset(), frozenset(), frozenset({accept_fluent}))
-            else:
-                swap = Effect(
-                    frozenset(),
-                    frozenset({in_state[t.target]}),
-                    frozenset({in_state[t.source], accept_fluent}),
-                )
-            actions.append(
-                Action(name, a.prec | {in_state[t.source]}, a.effects + (swap,))
-            )
+            actions.append(Action(name, a.prec | {in_state[t.source]}, a.effects + (move(t),)))
             meta_map[name] = (a.name, t)
 
     # k counts disjuncts over every guard transition between the same two
@@ -465,17 +430,7 @@ def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
             k = guard_count.get((t.source, t.target), 0)
             guard_count[(t.source, t.target)] = k + 1
             name = f"guard--{t.source}--{t.target}--{k}"
-            if t.source == t.target:
-                eff = Effect(frozenset(), frozenset(), frozenset({accept_fluent}))
-            else:
-                eff = Effect(
-                    frozenset(),
-                    frozenset({in_state[t.target]}),
-                    frozenset({in_state[t.source], accept_fluent}),
-                )
-            actions.append(
-                Action(name, frozenset(disjunct) | {in_state[t.source]}, (eff,))
-            )
+            actions.append(Action(name, frozenset(disjunct) | {in_state[t.source]}, (move(t),)))
             meta_map[name] = (None, t)
 
     for s in sorted(fsa.accepting):

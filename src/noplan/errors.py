@@ -96,9 +96,5 @@ class ResourceExhaustedError(NoplanError):
         super().__init__(f"resource budget exhausted during: {stage}")
 
 
-class EnumerationBudgetError(NoplanError):
-    """Exhaustive plan enumeration exceeded its node budget."""
-
-
 class PipelineError(NoplanError):
     """The explanation pipeline failed one of its self-checks."""

@@ -30,7 +30,6 @@ from .abstraction import (
     ExplanatorySet,
     LatticeNode,
     LatticeSpec,
-    ModelUpdate,
     build_lattice,
     concretize,
     find_explanatory_fluents,
@@ -47,6 +46,7 @@ from .model import (
     Plan,
     PlanningModel,
     ValidationTrace,
+    format_formula,
     validate_plan,
 )
 from .pddl import write_domain, write_problem
@@ -131,9 +131,7 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
         failures.append(replace(failed, level=target))
         targets.append(target)
         if dump_dir:
-            extended, pseudo = final_goal_landmark(target.model, graph)
-            lm = pseudo if failed.is_final_goal else failed.landmark
-            _dump(dump_dir, f"subgoal-{lm.id}", compile_achievability(target.model, extended, lm))
+            _dump(dump_dir, *_compile_failed(target.model, graph, failed))
 
     headline = failures[0]
     exemplar_trace = _exemplar(lat, members[0], targets[0], headline, explanatory,
@@ -162,9 +160,7 @@ def _explain_top_unsolvable(base: PlanningModel, cm: ConstrainedModel | None,
     failed = first_unachievable(top.model, graph, sequence, limits)
     failed = replace(failed, level=top)
     if dump_dir:
-        extended, pseudo = final_goal_landmark(top.model, graph)
-        lm = pseudo if failed.is_final_goal else failed.landmark
-        _dump(dump_dir, f"subgoal-{lm.id}", compile_achievability(top.model, extended, lm))
+        _dump(dump_dir, *_compile_failed(top.model, graph, failed))
     return Explanation(
         STATUS_TOP_UNSOLVABLE,
         top.model.table,
@@ -253,16 +249,25 @@ def _self_verify(lat: AbstractionLattice, members, explanatory: ExplanatorySet,
                 f"restoring {sorted(explanatory.groups)} left node "
                 f"{sorted(node.projected)} solvable"
             )
-    level: LatticeNode = headline.level
     graph = extract_landmarks(members[0].model, check_solvable=False, limits=limits)
-    extended, pseudo = final_goal_landmark(level.model, graph)
-    lm = pseudo if headline.is_final_goal else headline.landmark
-    compiled = compile_achievability(level.model, extended, lm)
+    _, compiled = _compile_failed(headline.level.model, graph, headline)
     fresh = decide_solvable(compiled, limits)
     if fresh.exhausted:
         raise ResourceExhaustedError("self-verification of the failed subgoal")
     if fresh.solvable and not headline.is_final_goal:
         raise PipelineError("the reported failed subgoal is achievable after all")
+
+
+def _compile_failed(level: PlanningModel, graph: LandmarkGraph,
+                    failed: FailedSubgoal) -> tuple[str, PlanningModel]:
+    """The dump stem and the achievability compilation of failed's subgoal on level.
+
+    A failed final goal is compiled as the pseudo landmark that
+    final_goal_landmark adds for the goal conjunction.
+    """
+    extended, pseudo = final_goal_landmark(level, graph)
+    lm = pseudo if failed.is_final_goal else failed.landmark
+    return f"subgoal-{lm.id}", compile_achievability(level, extended, lm)
 
 
 def _dump(directory: str, stem: str, model: PlanningModel) -> None:
@@ -335,19 +340,6 @@ def _render_machine(e: Explanation) -> dict:
     return out
 
 
-def _formula_text(table: FluentTable, formula: DnfFormula) -> str:
-    parts = []
-    for d in formula.sorted_disjuncts():
-        if not d:
-            return "TRUE"
-        parts.append(" and ".join(table.canonical(f) for f in d))
-    if not parts:
-        return "FALSE"
-    if len(parts) == 1:
-        return parts[0]
-    return " or ".join(f"({p})" if " and " in p else p for p in parts)
-
-
 def _render_human(e: Explanation) -> str:
     table = e.table
     lines: list[str] = []
@@ -382,11 +374,11 @@ def _render_human(e: Explanation) -> str:
         subject = "the goal conjunction" if e.failed.is_final_goal else "this subgoal"
         lines.append(
             f"The following subgoal, required by every solution, cannot be achieved: "
-            f"{_formula_text(table, e.failed.landmark.formula)}"
+            f"{format_formula(table, e.failed.landmark.formula)}"
         )
         if e.failed.achieved_prefix:
             prefix = "; ".join(
-                _formula_text(table, lm.formula) for lm in e.failed.achieved_prefix
+                format_formula(table, lm.formula) for lm in e.failed.achieved_prefix
             )
             lines.append(f"  (after achieving: {prefix})")
         if e.failed.is_final_goal:
@@ -398,7 +390,7 @@ def _render_human(e: Explanation) -> str:
     for extra in e.secondary:
         lines.append(
             f"Also unachievable ({', '.join(sorted(extra.level.projected))} projected): "
-            f"{_formula_text(table, extra.landmark.formula)}"
+            f"{format_formula(table, extra.landmark.formula)}"
         )
 
     if e.exemplar is not None:
@@ -453,61 +445,6 @@ def _update_lines(table: FluentTable, updates) -> list[str]:
     for action in sorted(by_action):
         lines.append(f"action {action}: {'; '.join(by_action[action])}")
     return lines
-
-
-def parse_machine(data: dict, table: FluentTable) -> Explanation:
-    """Rebuild an explanation from its machine rendering.
-
-    Landmark ids and lattice references are not part of the schema, so
-    the reconstruction is canonical-form faithful: rendering it again
-    reproduces the input dict exactly.
-    """
-    lookup = {f.canonical: f.id for f in table.fluents()}
-
-    def formula(disjuncts) -> DnfFormula:
-        return DnfFormula.build([{lookup[name] for name in d} for d in disjuncts])
-
-    def failed(fd: dict) -> FailedSubgoal:
-        prefix = tuple(
-            Landmark(-1 - i, formula(d)) for i, d in enumerate(fd.get("prefix", ()))
-        )
-        return FailedSubgoal(
-            landmark=Landmark(-100, formula(fd["formula"])),
-            achieved_prefix=prefix,
-            is_final_goal=bool(fd.get("final_goal")),
-            level=LatticeNode(frozenset(fd["level"]["projected"]), None),
-        )
-
-    explanatory = None
-    if data.get("explanatory") is not None:
-        ed = data["explanatory"]
-        ups = tuple(
-            ModelUpdate(u["kind"], u["action"], lookup[u["fluent"]])
-            for u in ed["updates"]
-        )
-        explanatory = ExplanatorySet(frozenset(ed["groups"]), ed["cost"], ups)
-
-    exemplar = None
-    if data.get("exemplar") is not None:
-        xd = data["exemplar"]
-        exemplar = ValidationTrace(
-            status="failed",
-            failing_index=xd["failing_index"],
-            unsatisfied_precondition=frozenset(lookup[n] for n in xd["missing"]),
-            states=None,
-            plan=tuple(xd["plan"]),
-        )
-
-    return Explanation(
-        status=data["status"],
-        table=table,
-        advice_applied=bool(data.get("advice_applied")),
-        explanatory=explanatory,
-        failed=failed(data["failed"]) if data.get("failed") else None,
-        secondary=tuple(failed(fd) for fd in data.get("secondary", ())),
-        exemplar=exemplar,
-        plan=tuple(data["plan"]) if data.get("plan") is not None else None,
-    )
 
 
 def machine_json(e: Explanation) -> str:

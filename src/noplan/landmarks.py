@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .errors import CycleError, ModelUnsolvableError
-from .model import DnfFormula, PlanningModel, holds
+from .model import DnfFormula, PlanningModel, format_formula, holds
 from .search import SearchLimits, decide_solvable, relaxed_reachable
 
 NATURAL = "nat"
@@ -255,8 +255,6 @@ def linearize(g: LandmarkGraph) -> list[Landmark]:
 
 def graph_to_json(m: PlanningModel, g: LandmarkGraph) -> dict:
     """Serializable rendering: ids, DNF strings over fluent names, typed edges."""
-    from .model import format_formula
-
     return {
         "landmarks": [
             {

@@ -174,10 +174,6 @@ class Action:
     prec: frozenset[int]
     effects: tuple[Effect, ...]
 
-    @classmethod
-    def simple(cls, name, prec=(), adds=(), dels=()) -> "Action":
-        return cls(name, frozenset(prec), (Effect(frozenset(), frozenset(adds), frozenset(dels)),))
-
     @property
     def adds(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
@@ -269,41 +265,6 @@ class PlanningModel:
     def has_action(self, name: str) -> bool:
         return name in self._by_name
 
-    def canonical(self, fid: int) -> str:
-        return self.table.canonical(fid)
-
-    def same_content(self, other: "PlanningModel") -> bool:
-        """Structural equality by fluent names, usable across tables."""
-
-        def side(tab: FluentTable, m: "PlanningModel"):
-            def names(ids):
-                return frozenset(tab.canonical(f) for f in ids)
-
-            return (
-                names(m.fluents),
-                names(m.init),
-                names(m.goal),
-                tuple(
-                    (
-                        a.name,
-                        names(a.prec),
-                        tuple(
-                            sorted(
-                                (
-                                    tuple(sorted(names(e.condition))),
-                                    tuple(sorted(names(e.adds))),
-                                    tuple(sorted(names(e.dels))),
-                                )
-                                for e in a.effects
-                            )
-                        ),
-                    )
-                    for a in sorted(m.actions, key=lambda a: a.name)
-                ),
-            )
-
-        return side(self.table, self) == side(other.table, other)
-
 
 def _action_without(a: Action, gone: frozenset[int]) -> Action:
     """a with the fluents in gone removed; a itself when it mentions none."""
@@ -391,7 +352,7 @@ class ValidationTrace:
     status: str  # "valid" | "failed"
     failing_index: int | None
     unsatisfied_precondition: frozenset[int] | None
-    states: tuple[State, ...] | None
+    states: tuple[State, ...]
     plan: Plan
 
     @property
@@ -497,37 +458,15 @@ def holds(state: State, formula: DnfFormula) -> bool:
     return any(d <= state for d in formula.disjuncts)
 
 
-def holds_closed_world(table: FluentTable, state: State, formula: DnfFormula) -> bool:
-    """Like holds(), but evaluates compiled complement fluents as 'positive absent'.
-
-    Needed when a formula mentions not-p while the state being inspected
-    does not materialize the complement pair.
-    """
-    for d in formula.disjuncts:
-        ok = True
-        for f in d:
-            pos = table.positive_of(f)
-            if pos is not None:
-                if pos in state:
-                    ok = False
-                    break
-            elif f not in state:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def format_formula(table: FluentTable, formula: DnfFormula) -> str:
-    """Readable rendering: 'a & b | c' with canonical fluent names."""
+    """Readable rendering: 'a and b or c' with canonical fluent names."""
     if formula.is_false:
         return "FALSE"
     parts = []
     for d in formula.sorted_disjuncts():
         if not d:
             return "TRUE"
-        parts.append(" & ".join(table.canonical(f) for f in d))
+        parts.append(" and ".join(table.canonical(f) for f in d))
     if len(parts) == 1:
         return parts[0]
-    return " | ".join(f"({p})" if " & " in p else p for p in parts)
+    return " or ".join(f"({p})" if " and " in p else p for p in parts)

@@ -9,6 +9,11 @@ from noplan.pddl import ground, parse_model
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
+def simple_action(name, prec=(), adds=(), dels=()) -> Action:
+    """An action with one unconditional effect."""
+    return Action(name, frozenset(prec), (Effect(frozenset(), frozenset(adds), frozenset(dels)),))
+
+
 def build_model(fluent_names, actions, init, goal):
     """Hand-build a model from canonical fluent names.
 
@@ -28,7 +33,7 @@ def build_model(fluent_names, actions, init, goal):
     for spec in actions:
         if len(spec) == 4:
             name, prec, adds, dels = spec
-            built.append(Action.simple(name, s(prec), s(adds), s(dels)))
+            built.append(simple_action(name, s(prec), s(adds), s(dels)))
         else:
             name, prec, effects = spec
             built.append(

@@ -13,9 +13,21 @@ from collections import deque
 
 from noplan import pddl
 from noplan.abstraction import concretize, diff_models
-from noplan.errors import EnumerationBudgetError
+from noplan.advice import ActionLabel, ConstraintFsa
+from noplan.errors import InvalidPlanError, NoplanError
 from noplan.landmarks import GREEDY_NECESSARY, NATURAL, NECESSARY, LandmarkGraph
-from noplan.model import Action, DnfFormula, Effect, Plan, PlanningModel, State, apply_action, holds
+from noplan.model import (
+    Action,
+    DnfFormula,
+    Effect,
+    FluentTable,
+    Plan,
+    PlanningModel,
+    State,
+    apply_action,
+    holds,
+    validate_plan,
+)
 from noplan.search import (
     EXHAUSTED,
     SOLVABLE,
@@ -25,6 +37,10 @@ from noplan.search import (
     decide_solvable,
     relaxed_reachable,
 )
+
+
+class EnumerationBudgetError(NoplanError):
+    """Exhaustive plan enumeration exceeded its node budget."""
 
 
 def decide_solvable_by_sets(m: PlanningModel, limits: SearchLimits | None = None) -> SearchResult:
@@ -247,9 +263,71 @@ def stripped_bounded_plans(cm, base_len: int, total_len: int) -> set[tuple[str, 
     return set(suffixes(compiled.init, total_len))
 
 
-def accepted_bounded_plans(m, fsa, base_len: int) -> set[tuple[str, ...]]:
-    from noplan.advice import accepts
+def holds_closed_world(table: FluentTable, state: State, formula: DnfFormula) -> bool:
+    """Like holds(), but evaluates compiled complement fluents as 'positive absent'.
 
+    Needed when a formula mentions not-p while the state being inspected
+    does not materialize the complement pair.
+    """
+    for d in formula.disjuncts:
+        ok = True
+        for f in d:
+            pos = table.positive_of(f)
+            if pos is not None:
+                if pos in state:
+                    ok = False
+                    break
+            elif f not in state:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def action_moves(fsa: ConstraintFsa, states: set[str], name: str) -> set[str]:
+    """The automaton states one step on action name leads to from states."""
+    return {
+        t.target
+        for t in fsa.transitions
+        if t.source in states and isinstance(t.label, ActionLabel) and t.label.name == name
+    }
+
+
+def _guard_closure(fsa: ConstraintFsa, states: set[str], trace_state, table) -> set[str]:
+    out = set(states)
+    changed = True
+    while changed:
+        changed = False
+        for t in fsa.guard_transitions():
+            if t.source in out and t.target not in out:
+                if holds_closed_world(table, trace_state, t.label.formula):
+                    out.add(t.target)
+                    changed = True
+    return out
+
+
+def accepts(fsa: ConstraintFsa, plan, m: PlanningModel) -> bool:
+    """True when some run of fsa over the plan's actions ends accepting.
+
+    The advice semantics read directly, without compiling: guard
+    transitions are optional epsilon moves whenever their formula holds
+    in the current trace state, and the subset construction below covers
+    every firing schedule at once.
+    """
+    trace = validate_plan(m, plan)
+    if not trace.valid:
+        raise InvalidPlanError("accepts() needs a plan that is valid in the model")
+    current = _guard_closure(fsa, {fsa.initial}, trace.states[0], m.table)
+    for i, name in enumerate(trace.plan):
+        current = action_moves(fsa, current, name)
+        if not current:
+            return False
+        current = _guard_closure(fsa, current, trace.states[i + 1], m.table)
+    return bool(current & fsa.accepting)
+
+
+def accepted_bounded_plans(m, fsa, base_len: int) -> set[tuple[str, ...]]:
     return {p for p in enumerate_plans(m, base_len) if accepts(fsa, p, m)}
 
 
@@ -325,6 +403,24 @@ def ground_by_product(lifted: pddl.LiftedModel) -> PlanningModel:
                 continue
             grounded.append(ga)
     return pddl._assemble(lifted, grounded, init_atoms)
+
+
+def same_content(a: PlanningModel, b: PlanningModel) -> bool:
+    """Structural equality by fluent names, usable across fluent tables."""
+
+    def side(m: PlanningModel):
+        def names(ids):
+            return frozenset(m.table.canonical(f) for f in ids)
+
+        actions = tuple(
+            (a.name, names(a.prec),
+             tuple(sorted((tuple(sorted(names(e.condition))), tuple(sorted(names(e.adds))),
+                           tuple(sorted(names(e.dels)))) for e in a.effects)))
+            for a in sorted(m.actions, key=lambda a: a.name)
+        )
+        return names(m.fluents), names(m.init), names(m.goal), actions
+
+    return side(a) == side(b)
 
 
 def project_by_rebuild(m: PlanningModel, fluents) -> PlanningModel:

@@ -13,10 +13,11 @@ import json
 import random
 from dataclasses import dataclass
 
-from .abstraction import FluentGroup
-from .errors import AdviceError
-from .model import Action, Effect, FluentTable, PlanningModel
-from .search import SearchLimits, decide_solvable
+from noplan.abstraction import FluentGroup
+from noplan.advice import compose, parse_advice
+from noplan.errors import AdviceError
+from noplan.model import Action, Effect, FluentTable, PlanningModel
+from noplan.search import SearchLimits, decide_solvable
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,6 @@ def break_by_deletion(rng: random.Random, m: PlanningModel) -> PlanningModel | N
 
 def break_by_advice(rng: random.Random, m: PlanningModel) -> str | None:
     """Advice text (JSON) that renders the model unsolvable, if one is found."""
-    from .advice import compose, parse_advice
-
     result = decide_solvable(m, SearchLimits(max_nodes=200_000, max_seconds=20))
     if not result.solvable:
         return None

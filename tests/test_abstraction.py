@@ -32,14 +32,14 @@ from noplan.pddl import ground, parse_model
 from noplan.search import SearchLimits, decide_solvable
 
 from .conftest import INSTANCES, build_model, minirover_groups
-from .oracles import enumerate_plans, project_by_rebuild
+from .oracles import enumerate_plans, project_by_rebuild, same_content
 from .test_search import micro_models
 
 
 def test_project_clear_gives_norocks(minirover, minirover_hand, norocks):
     rocks = minirover_groups(minirover)[0]
     projected = project_model(minirover, rocks.members)
-    assert projected.same_content(norocks)
+    assert same_content(projected, norocks)
     for a in projected.actions:
         names = {projected.table.canonical(f) for f in a.prec}
         assert not any(n.startswith("clear") for n in names)

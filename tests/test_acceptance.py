@@ -26,7 +26,6 @@ from noplan.advice import (
 from noplan.explain import STATUS_EXPLAINED, explain
 from noplan.landmarks import extract_landmarks
 from noplan.pddl import ground, parse_model
-from noplan.random_models import MicroConfig, break_by_deletion, random_model, unsolvable_corpus
 from noplan.search import SearchLimits, decide_solvable
 
 from .conftest import INSTANCES, minirover_groups
@@ -39,6 +38,7 @@ from .oracles import (
     reachable_states,
     stripped_bounded_plans,
 )
+from .random_models import MicroConfig, break_by_deletion, random_model, unsolvable_corpus
 
 LIMITS = SearchLimits(max_nodes=2_000_000, max_seconds=60)
 

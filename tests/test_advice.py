@@ -8,7 +8,6 @@ from noplan.advice import (
     ConstraintFsa,
     GuardLabel,
     Transition,
-    accepts,
     action_count_at_most,
     before,
     compose,
@@ -29,6 +28,8 @@ from noplan.search import decide_solvable
 from .conftest import build_model
 from .oracles import (
     accepted_bounded_plans,
+    accepts,
+    action_moves,
     enumerate_plans,
     reachable_states,
     stripped_bounded_plans,
@@ -198,7 +199,7 @@ def _string_language(fsa, alphabet, max_len):
         for word in itertools.product(alphabet, repeat=n):
             states = {fsa.initial}
             for sym in word:
-                states = fsa.action_moves(states, sym)
+                states = action_moves(fsa, states, sym)
                 if not states:
                     break
             if states & fsa.accepting:

@@ -119,6 +119,34 @@ def test_malformed_lattice_spec_exit_two(tmp_path, capsys, spec):
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
 
+MINIROVER_FSA = {"states": ["a", "b"], "initial": "a", "accepting": ["b"],
+                 "transitions": [{"from": "a", "to": "b", "label": {"action": "move_l1_l2"}}]}
+
+
+@pytest.mark.parametrize("fsa", [
+    {**MINIROVER_FSA, "transitions": [{"to": "b", "label": {"action": "move_l1_l2"}}]},
+    {**MINIROVER_FSA, "transitions": ["x"]},
+    {**MINIROVER_FSA, "transitions": 5},
+    {**MINIROVER_FSA, "states": 5},
+    {**MINIROVER_FSA, "states": "ab"},
+], ids=["transition-without-from", "transition-str", "transitions-int", "states-int",
+        "states-str"])
+def test_malformed_explicit_advice_fsa_exit_two(tmp_path, capsys, fsa):
+    advice = tmp_path / "advice.json"
+    advice.write_text(json.dumps([{"fsa": fsa}]))
+    code = main([
+        "explain",
+        "--domain", str(MINIROVER / "domain.pddl"),
+        "--problem", str(MINIROVER / "problem.pddl"),
+        "--lattice", str(MINIROVER / "lattice.json"),
+        "--advice", str(advice),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
 def test_explain_advice_on_conditionally_readded_atom_exit_two(tmp_path, capsys):
     # a3 deletes f3 and re-adds it when f0 holds: never-holds (f3) cannot be compiled
     d = tmp_path / "d.pddl"
@@ -297,15 +325,28 @@ def test_landmarks_dump(tmp_path, capsys):
     domain = (MINIROVER / "domain.pddl").read_text().replace("(clear ?y)", "(conn ?x ?y)")
     d = tmp_path / "d.pddl"
     d.write_text(domain)
-    code = main([
-        "landmarks",
-        "--domain", str(d),
-        "--problem", str(MINIROVER / "problem.pddl"),
-    ])
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    assert {lm["id"] for lm in data["landmarks"]}
-    assert all(o["kind"] in ("nat", "nec", "gnec") for o in data["orderings"])
+    # two routes to l4: the dump holds the disjunctive landmark at_l2 or at_l3
+    two_routes = tmp_path / "p.pddl"
+    two_routes.write_text("""
+    (define (problem two-routes) (:domain minirover)
+      (:objects l1 l2 l3 l4 - location)
+      (:init (at l1) (conn l1 l2) (conn l1 l3) (conn l2 l4) (conn l3 l4))
+      (:goal (at l4)))
+    """)
+    texts = []
+    for problem in (MINIROVER / "problem.pddl", two_routes):
+        code = main(["landmarks", "--domain", str(d), "--problem", str(problem)])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert {lm["id"] for lm in data["landmarks"]}
+        assert all(o["kind"] in ("nat", "nec", "gnec") for o in data["orderings"])
+        # the text is the explanation's rendering: words, not operators
+        for lm in data["landmarks"]:
+            assert "&" not in lm["text"] and "|" not in lm["text"]
+            assert lm["text"].count(" and ") == sum(len(c) - 1 for c in lm["formula"])
+            assert lm["text"].count(" or ") == len(lm["formula"]) - 1
+            texts.append(lm["text"])
+    assert "at_l2 or at_l3" in texts
 
 
 def test_lattice_table(capsys):

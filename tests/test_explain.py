@@ -12,8 +12,6 @@ from noplan.explain import (
     STATUS_TOP_UNSOLVABLE,
     exemplar_failure,
     explain,
-    machine_json,
-    parse_machine,
     render,
 )
 from noplan.search import decide_solvable
@@ -246,27 +244,6 @@ def test_render_human_solvable_prints_plan(norocks):
     text = render(e, "human")
     assert "solvable" in text
     assert "move_l1_l2" in text
-
-
-def test_machine_roundtrip(minirover, minirover_spec):
-    e = explain(minirover, minirover_spec, exemplar=EXEMPLAR_ALWAYS)
-    data = render(e, "machine")
-    again = parse_machine(data, e.table)
-    assert render(again, "machine") == data
-    # and through actual JSON text
-    assert json.loads(machine_json(e)) == json.loads(machine_json(again))
-
-
-def test_machine_roundtrip_degenerates(norocks, minirover_spec):
-    spec = LatticeSpec((("conn", ("conn",)),))
-    solvable = explain(norocks, spec)
-    data = render(solvable, "machine")
-    assert render(parse_machine(data, solvable.table), "machine") == data
-
-    advice = json.dumps([{"template": "never-use-action", "action": "move_l1_l2"}])
-    collapsed = explain(norocks, spec, advice)
-    data = render(collapsed, "machine")
-    assert render(parse_machine(data, collapsed.table), "machine") == data
 
 
 def test_pipeline_self_verification_runs(minirover, minirover_spec):

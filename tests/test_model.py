@@ -12,6 +12,7 @@ from noplan.model import (
     Effect,
     FluentTable,
     apply_action,
+    format_formula,
     holds,
     normalize_dnf,
     validate_plan,
@@ -165,6 +166,20 @@ def test_holds_examples():
     assert holds(frozenset({0, 1}), phi)
     assert not holds(frozenset(), DnfFormula.build([{0}]))
     assert not holds(frozenset({0}), DnfFormula(frozenset()))  # falsum
+
+
+@pytest.mark.parametrize("disjuncts, text", [
+    ([], "FALSE"),
+    ([set(), {"at_l1"}], "TRUE"),
+    ([{"clear_l2", "at_l1"}], "at_l1 and clear_l2"),
+    ([{"at_l2"}, {"clear_l2", "at_l1"}], "(at_l1 and clear_l2) or at_l2"),
+], ids=["falsum", "empty-disjunct", "conjunction", "disjunction"])
+def test_format_formula(disjuncts, text):
+    table = FluentTable()
+    ids = {f"{pred}_{arg}": table.intern(pred, (arg,))
+           for pred, arg in (("at", "l1"), ("at", "l2"), ("clear", "l2"))}
+    formula = DnfFormula.build([{ids[n] for n in d} for d in disjuncts])
+    assert format_formula(table, formula) == text
 
 
 @st.composite

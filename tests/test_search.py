@@ -2,12 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noplan.errors import EnumerationBudgetError
 from noplan.model import PlanningModel, validate_plan
 from noplan.search import SearchLimits, decide_solvable
 
 from .conftest import build_model
-from .oracles import decide_solvable_by_sets, enumerate_plans, project_by_rebuild, reachable_states
+from .oracles import (
+    EnumerationBudgetError,
+    decide_solvable_by_sets,
+    enumerate_plans,
+    project_by_rebuild,
+    reachable_states,
+)
 
 
 def test_minirover_unsolvable(minirover):
