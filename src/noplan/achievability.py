@@ -9,9 +9,13 @@ atom among its adds; they fire when one of its add effects completes a
 disjunct of the landmark while the landmark's ordering predecessors
 hold: necessary predecessors must hold in the pre-state for any
 achievement, greedy-necessary ones for the first achievement, natural
-ones must have been achieved earlier. A self-conditioned delete clears
-the first-time flag on the next action, so a plan for the compiled goal
-must stop once the target landmark has just been achieved. Solvability
+ones must have been achieved earlier. Every action also carries one
+unconditional reset that deletes all first-time flags, so a flag set by
+one action is cleared by the next, and a plan for the compiled goal must
+stop once the target landmark has just been achieved. The reset is the
+same as a per-landmark delete conditioned on the flag: deleting an
+absent flag changes nothing, and a tracking effect that sets a flag in
+the same step still wins, since deletes apply before adds. Solvability
 of the compiled model is exactly achievability of the landmark under
 all orderings.
 
@@ -101,10 +105,8 @@ def compile_achievability(m: PlanningModel, lg: LandmarkGraph,
     nat_preds = {lm.id: [ach[p.id] for p in lg.predecessors(lm.id, NATURAL)]
                  for lm in lg.landmarks}
     lm_fluents = [(lm, lm.formula.fluents) for lm in lg.landmarks]
-    self_dels = tuple(
-        Effect(frozenset({fta[lm.id]}), frozenset(), frozenset({fta[lm.id]}))
-        for lm in lg.landmarks
-    )
+    # phi is in lg, so fta is never empty
+    reset = Effect(frozenset(), frozenset(), frozenset(fta.values()))
 
     actions = []
     for a in m.actions:
@@ -119,7 +121,7 @@ def compile_achievability(m: PlanningModel, lg: LandmarkGraph,
             )
             for eff in clauses:
                 extra.setdefault(eff, None)
-        actions.append(Action(a.name, a.prec, a.effects + tuple(extra) + self_dels))
+        actions.append(Action(a.name, a.prec, a.effects + tuple(extra) + (reset,)))
 
     goal = frozenset({fta[phi.id]})
     return PlanningModel(table, fluents, tuple(actions), frozenset(init), goal)

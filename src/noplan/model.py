@@ -352,7 +352,6 @@ class ValidationTrace:
     status: str  # "valid" | "failed"
     failing_index: int | None
     unsatisfied_precondition: frozenset[int] | None
-    states: tuple[State, ...]
     plan: Plan
 
     @property
@@ -363,18 +362,16 @@ class ValidationTrace:
 def validate_plan(m: PlanningModel, plan) -> ValidationTrace:
     """Replay plan from the initial state and report the first failure."""
     plan = tuple(plan)
-    states = [m.init]
     state = m.init
     for i, name in enumerate(plan):
         a = m.action(name)
         try:
             state = apply_action(state, a)
         except PreconditionViolation as exc:
-            return ValidationTrace("failed", i, exc.missing, tuple(states), plan)
-        states.append(state)
+            return ValidationTrace("failed", i, exc.missing, plan)
     if m.goal <= state:
-        return ValidationTrace("valid", None, None, tuple(states), plan)
-    return ValidationTrace("failed", len(plan), frozenset(m.goal - state), tuple(states), plan)
+        return ValidationTrace("valid", None, None, plan)
+    return ValidationTrace("failed", len(plan), frozenset(m.goal - state), plan)
 
 
 @dataclass(frozen=True)

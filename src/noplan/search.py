@@ -28,10 +28,24 @@ masks, then the breadth-first search over the ops whose preconditions
 model's masks. It first checks the relaxed-reachable fluent set itself,
 so a goal outside it is answered before any mask is compiled, and then
 compiles only the actions and effects inside the set. The set, the
-masks and decide_masks' own tables are kept in the model's ``_search``
-dict. None depends on the goal, so a ``with_goal`` copy shares that
-dict with its source and only the goal mask is built per call; a
-projection made by ``without`` gets an empty one.
+masks and decide_masks' own tables (its relaxed bits and successor
+index) are kept in the model's ``_search`` dict. None depends on the
+goal, so a ``with_goal`` copy shares that dict with its source and only
+the goal mask is built per call; a projection made by ``without`` gets
+an empty one.
+
+The successor index follows the precondition-indexed successor
+generator of Helmert ("The Fast Downward Planning System", JAIR 2006).
+Each op is filed under one key bit of its precondition: the lowest bit
+not set in init, since a bit set in init may hold in most states, or
+the lowest bit when the whole precondition holds in init. An op with an
+empty precondition goes on a list of its own. A state tests only that
+list and the buckets of the key bits it holds, which cover every op
+applicable in it. Each op carries its position in model action order,
+and ops drawn from more than one source are sorted back into that
+order, so successors are still generated in model action order and the
+plan found is still the first shortest. A search keeps each merged list
+for the next state that holds the same key bits.
 
 A lattice decides its nodes on its root's masks (see abstraction.py):
 compiled without the relaxed filter, since a projection can make more
@@ -204,9 +218,9 @@ def decide_masks(init: int, goal: int, ops, limits: SearchLimits | None = None,
     """Decide whether a goal state is reachable from init over ops.
 
     The masks are those of compile_masks, or a projection of them. The
-    relaxed-reachable bits and the ops that can fire within them do not
-    depend on the goal; given tables, they are kept there for the next
-    call with the same init and ops.
+    relaxed-reachable bits and the successor index of the ops that can
+    fire within them do not depend on the goal; given tables, they are
+    kept there for the next call with the same init and ops.
     """
     limits = limits or SearchLimits()
     if goal & init == goal:
@@ -217,10 +231,10 @@ def decide_masks(init: int, goal: int, ops, limits: SearchLimits | None = None,
         relaxed = tables["relaxed"] = _relaxed(init, ops)
     if goal & relaxed != goal:
         return SearchResult(UNSOLVABLE)
-    live = tables.get("live")
-    if live is None:
-        live = tables["live"] = _live(ops, relaxed)
-    return _bfs(init, goal, live, limits)
+    index = tables.get("live")
+    if index is None:
+        index = tables["live"] = _live(ops, relaxed, init)
+    return _bfs(init, goal, index, limits)
 
 
 def _relaxed(init: int, ops) -> int:
@@ -247,14 +261,23 @@ def _relaxed(init: int, ops) -> int:
         waiting = left
 
 
-def _live(ops, reached: int):
-    """The ops whose precondition lies within reached, each keeping only
-    the conditional effects whose condition does; a condition implied by
-    the precondition is folded into the op's keep and add masks.
+def _live(ops, reached: int, init: int):
+    """The successor index of the ops whose precondition lies within
+    reached: (always, keys, buckets).
+
+    Each op keeps only the conditional effects whose condition lies
+    within reached; a condition implied by the precondition is folded
+    into the op's keep and add masks. An op is filed as (position, pre,
+    keep, add, conds, name) under one key bit of its precondition, the
+    lowest bit outside init (or the lowest bit, when all hold in init):
+    an op with an empty precondition goes on the always list, the others
+    in buckets[key]. keys is the union of the key bits. Only an op on
+    the always list or in the bucket of a key bit that a state holds can
+    be applicable in it.
     """
-    out = []
-    for op in ops:
-        pre, keep, add, conds, name = op
+    always = []
+    buckets: dict[int, list] = {}
+    for position, (pre, keep, add, conds, name) in enumerate(ops):
         if pre & reached != pre:
             continue
         if conds:
@@ -265,12 +288,24 @@ def _live(ops, reached: int):
                     add |= cond_add
                 elif cond & reached == cond:
                     rest.append((cond, cond_keep, cond_add))
-            op = (pre, keep, add, tuple(rest), name)
-        out.append(op)
-    return tuple(out)
+            conds = tuple(rest)
+        entry = (position, pre, keep, add, conds, name)
+        if not pre:
+            always.append(entry)
+            continue
+        key = pre & ~init or pre
+        buckets.setdefault(key & -key, []).append(entry)
+    keys = 0
+    for key in buckets:
+        keys |= key
+    return always, keys, buckets
 
 
-def _bfs(init: int, goal: int, ops, limits: SearchLimits) -> SearchResult:
+def _bfs(init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
+    always, keys, buckets = index
+    # merged candidate lists by the key bits a state holds, shared by
+    # the states that hold the same ones
+    merged: dict[int, list] = {}
     deadline = time.monotonic() + limits.max_seconds
     queue: deque[int] = deque([init])
     parent: dict[int, tuple[int, str] | None] = {init: None}
@@ -282,7 +317,22 @@ def _bfs(init: int, goal: int, ops, limits: SearchLimits) -> SearchResult:
             return SearchResult(EXHAUSTED, None, f"time budget {limits.max_seconds}s reached")
         state = queue.popleft()
         expanded += 1
-        for pre, keep, add, conds, name in ops:
+        keyed = state & keys
+        if keyed & (keyed - 1) or keyed and always:
+            # several sources, merged back into model action order
+            ops = merged.get(keyed)
+            if ops is None:
+                ops = merged[keyed] = always.copy()
+                while keyed:
+                    key = keyed & -keyed
+                    keyed ^= key
+                    ops += buckets[key]
+                ops.sort()
+        elif keyed:
+            ops = buckets[keyed]
+        else:
+            ops = always
+        for _, pre, keep, add, conds, name in ops:
             if state & pre != pre:
                 continue
             for cond, cond_keep, cond_add in conds:

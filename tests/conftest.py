@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from noplan.abstraction import FluentGroup, LatticeSpec
+from noplan.abstraction import FluentGroup, LatticeSpec, load_lattice_spec, resolve_groups
+from noplan.advice import compose, parse_advice
 from noplan.model import Action, Effect, FluentTable, PlanningModel
 from noplan.pddl import ground, parse_model
 
@@ -47,6 +48,28 @@ def build_model(fluent_names, actions, init, goal):
         table, frozenset(ids.values()), tuple(built), s(init), s(goal)
     )
     return model, ids
+
+
+def bundled_models():
+    """(label, model, groups) for every bundled instance, with no advice
+    and composed with each of its advice files; groups come from the
+    instance's lattice spec.
+    """
+    out = []
+    for base in sorted(p for p in INSTANCES.iterdir() if p.is_dir()):
+        m = ground(parse_model((base / "domain.pddl").read_text(),
+                               (base / "problem.pddl").read_text()))
+        spec = load_lattice_spec((base / "lattice.json").read_text())
+        out.append((base.name, m, resolve_groups(m, spec)))
+        for advice in sorted(p for p in base.glob("*.json") if p.name != "lattice.json"):
+            effective = compose(m, parse_advice(advice.read_text(), m)).compiled
+            out.append((f"{base.name}+{advice.stem}", effective, resolve_groups(effective, spec)))
+    return out
+
+
+def top_projection(m, groups):
+    """m with every group's fluents projected away."""
+    return m.without(frozenset().union(*(g.members for g in groups)))
 
 
 @pytest.fixture(scope="session")

@@ -315,15 +315,16 @@ def accepts(fsa: ConstraintFsa, plan, m: PlanningModel) -> bool:
     in the current trace state, and the subset construction below covers
     every firing schedule at once.
     """
-    trace = validate_plan(m, plan)
-    if not trace.valid:
+    plan = tuple(plan)
+    if not validate_plan(m, plan).valid:
         raise InvalidPlanError("accepts() needs a plan that is valid in the model")
-    current = _guard_closure(fsa, {fsa.initial}, trace.states[0], m.table)
-    for i, name in enumerate(trace.plan):
+    states = replay(m, plan)
+    current = _guard_closure(fsa, {fsa.initial}, states[0], m.table)
+    for i, name in enumerate(plan):
         current = action_moves(fsa, current, name)
         if not current:
             return False
-        current = _guard_closure(fsa, current, trace.states[i + 1], m.table)
+        current = _guard_closure(fsa, current, states[i + 1], m.table)
     return bool(current & fsa.accepting)
 
 
@@ -421,6 +422,22 @@ def same_content(a: PlanningModel, b: PlanningModel) -> bool:
         return names(m.fluents), names(m.init), names(m.goal), actions
 
     return side(a) == side(b)
+
+
+def with_conditional_resets(compiled: PlanningModel) -> PlanningModel:
+    """An achievability compile with its reset rewritten as one
+    self-conditioned delete per first-time flag, ``when first-time-lmN:
+    delete first-time-lmN``, the form compile_achievability once used.
+    """
+    flags = frozenset(f for f in compiled.fluents
+                      if compiled.table.fluent(f).name.startswith("first-time-lm"))
+    resets = tuple(Effect(frozenset({f}), frozenset(), frozenset({f})) for f in sorted(flags))
+    # the reset is the only effect that deletes first-time flags
+    actions = tuple(
+        Action(a.name, a.prec, tuple(e for e in a.effects if not e.dels & flags) + resets)
+        for a in compiled.actions
+    )
+    return PlanningModel(compiled.table, compiled.fluents, actions, compiled.init, compiled.goal)
 
 
 def project_by_rebuild(m: PlanningModel, fluents) -> PlanningModel:

@@ -12,6 +12,7 @@ from noplan.achievability import (
     final_goal_landmark,
     first_unachievable,
 )
+from noplan.advice import compose, parse_advice
 from noplan.errors import ModelError
 from noplan.landmarks import (
     GREEDY_NECESSARY,
@@ -25,9 +26,10 @@ from noplan.landmarks import (
 from noplan.model import DnfFormula, validate_plan
 from noplan.search import decide_solvable
 
-from .conftest import build_model
-from .oracles import achievability_oracle, reachable_states
-from .test_search import micro_models
+from .conftest import build_model, bundled_models, top_projection
+from .oracles import achievability_oracle, reachable_states, with_conditional_resets
+from .random_models import unsolvable_corpus
+from .test_search import _achievability_goals, micro_models
 
 
 def _lm_by_name(m, g, name):
@@ -306,3 +308,46 @@ def test_shared_compile_scan_fails_past_the_first_landmark():
     assert names == [{"t"}, {"p"}, {"q"}, {"g"}]
     assert failed.landmark == seq[3] and not failed.is_final_goal
     assert failed.achieved_prefix == tuple(seq[:3])
+
+
+# --- the unconditional first-time reset ---------------------------------------
+
+
+def _assert_reset_is_exact(m, lg):
+    """The shared compile of lg on m resets every first-time flag in one
+    unconditional effect per action, and decides every landmark goal as
+    the per-landmark self-conditioned resets do, plan included.
+    """
+    shared, goals = _achievability_goals(m, lg)
+    flags = frozenset().union(*goals)
+    for a in shared.actions:
+        resets = [e for e in a.effects if e.dels & flags]
+        assert len(resets) == 1
+        assert resets[0].condition == frozenset()
+        assert resets[0].dels == flags and resets[0].adds == frozenset()
+    conditional = with_conditional_resets(shared)
+    for goal in goals:
+        assert decide_solvable(shared.with_goal(goal)) == \
+            decide_solvable(conditional.with_goal(goal))
+
+
+def _assert_reset_is_exact_on(m, groups):
+    top = top_projection(m, groups)
+    _assert_reset_is_exact(m, extract_landmarks(m, check_solvable=False))
+    # landmarks of the top projection, achievable there, often not on m
+    lg = extract_landmarks(top, check_solvable=False)
+    _assert_reset_is_exact(m, lg)
+    _assert_reset_is_exact(top, lg)
+
+
+@pytest.mark.parametrize("m,groups", [pytest.param(m, groups, id=label)
+                                        for label, m, groups in bundled_models()])
+def test_unconditional_reset_matches_conditional_resets_on_bundled_instances(m, groups):
+    _assert_reset_is_exact_on(m, groups)
+
+
+def test_unconditional_reset_matches_conditional_resets_on_corpus():
+    for m, groups, advice in unsolvable_corpus(20240, 50):
+        if advice is not None:
+            m = compose(m, parse_advice(advice, m)).compiled
+        _assert_reset_is_exact_on(m, groups)

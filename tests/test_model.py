@@ -113,7 +113,8 @@ def test_validate_plan_valid(minirover_hand):
     trace = validate_plan(nr, ("move_l1_l2", "move_l2_l3"))
     assert trace.valid
     assert trace.failing_index is None
-    assert len(trace.states) == 3
+    assert trace.unsatisfied_precondition is None
+    assert trace.plan == ("move_l1_l2", "move_l2_l3")
 
 
 def test_validate_empty_plan_goal_in_init():

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noplan.model import PlanningModel, validate_plan
-from noplan.search import SearchLimits, decide_solvable
+from noplan.abstraction import build_lattice
+from noplan.achievability import compile_achievability, final_goal_landmark
+from noplan.landmarks import extract_landmarks
+from noplan.model import Action, Effect, PlanningModel, validate_plan
+from noplan.search import SearchLimits, _live, compile_masks, decide_solvable
 
-from .conftest import build_model
+from .conftest import build_model, bundled_models, top_projection
 from .oracles import (
     EnumerationBudgetError,
     decide_solvable_by_sets,
@@ -13,6 +18,7 @@ from .oracles import (
     project_by_rebuild,
     reachable_states,
 )
+from .random_models import MicroConfig, random_model
 
 
 def test_minirover_unsolvable(minirover):
@@ -152,3 +158,93 @@ def test_derived_models_match_fresh_ones(m, data):
     goal = frozenset(data.draw(st.sets(st.sampled_from(sorted(m.fluents)), min_size=1)))
     fresh = PlanningModel(m.table, m.fluents, m.actions, m.init, goal)
     assert decide_solvable(m.with_goal(goal)) == decide_solvable_by_sets(fresh)
+
+
+# --- the successor index keeps model action order --------------------------
+
+BUDGETS = [SearchLimits(max_nodes=k) for k in (0, 1, 2, 3, 5, 10, 50)]
+
+
+def _assert_search_matches_sets(m):
+    for limits in [SearchLimits()] + BUDGETS:
+        assert decide_solvable(m, limits) == decide_solvable_by_sets(m, limits)
+
+
+def _achievability_goals(m, lg):
+    """The shared achievability compile of lg on m, and one goal per landmark."""
+    extended, pseudo = final_goal_landmark(m, lg)
+    shared = compile_achievability(m, extended, pseudo)
+    return shared, [frozenset({shared.table.id_of(f"first-time-lm{lm.id}")})
+                    for lm in extended.landmarks]
+
+
+def _assert_lattice_matches_rebuilt_projections(m, groups):
+    for limits in [SearchLimits()] + BUDGETS:
+        for projected in build_lattice(m, groups).all_projected_sets():
+            # a fresh lattice holds no plans to replay, so the node is searched
+            lat = build_lattice(m, groups, limits=limits)
+            node = lat.node(projected)
+            assert lat.solvability(node) == decide_solvable_by_sets(
+                project_by_rebuild(m, node.gone), limits)
+
+
+@pytest.mark.parametrize("m,groups", [pytest.param(m, groups, id=label)
+                                        for label, m, groups in bundled_models()])
+def test_search_matches_set_search_on_bundled_instances(m, groups):
+    top = top_projection(m, groups)
+    # landmarks of the top projection, achievable there, often not on m
+    lg = extract_landmarks(top, check_solvable=False)
+    for level in (m, top):
+        _assert_search_matches_sets(level)
+        shared, goals = _achievability_goals(level, lg)
+        for goal in goals:
+            _assert_search_matches_sets(shared.with_goal(goal))
+    _assert_lattice_matches_rebuilt_projections(m, groups)
+
+
+def _with_keyed_ops(rng, m):
+    """m with ops inserted at random positions that exercise every part of
+    the successor index: one with an empty precondition, one whose
+    precondition holds in init, and three filed under one key bit.
+    """
+    ids = sorted(m.fluents)
+
+    def op(name, prec):
+        adds = frozenset(rng.sample(ids, rng.randint(1, 2)))
+        dels = frozenset(rng.sample(ids, rng.randint(0, 2))) - adds
+        return Action(name, frozenset(prec), (Effect(frozenset(), adds, dels),))
+
+    extra = [op("free", ()),
+             op("held", rng.sample(sorted(m.init), rng.randint(1, min(2, len(m.init)))))]
+    # key is the lowest fluent outside init of every twin's precondition
+    key = rng.choice([f for f in ids if f not in m.init])
+    rest = [f for f in ids if f in m.init or f > key]
+    extra += [op(f"twin{i}", {key, *rng.sample(rest, rng.randint(0, min(2, len(rest))))})
+              for i in range(3)]
+    actions = list(m.actions)
+    for a in extra:
+        actions.insert(rng.randint(0, len(actions)), a)
+    return PlanningModel(m.table, m.fluents, tuple(actions), m.init, m.goal)
+
+
+def test_search_matches_set_search_on_random_models_with_keyed_ops():
+    rng = random.Random(20241)
+    cfg = MicroConfig(min_actions=6, max_actions=12)
+    for _ in range(60):
+        m, groups = random_model(rng, cfg)
+        m = _with_keyed_ops(rng, m)
+        bits, init, ops = compile_masks(m)
+        always, _, buckets = _live(ops, (1 << len(bits)) - 1, init)
+        assert "free" in [op[-1] for op in always]
+        # held is filed under a bit of init, so expanding init merges
+        # its bucket with the always list
+        assert any(key & init and "held" in [op[-1] for op in bucket]
+                   for key, bucket in buckets.items())
+        assert any(sum(op[-1].startswith("twin") for op in bucket) == 3
+                   for bucket in buckets.values())
+        _assert_search_matches_sets(m)
+        lg = extract_landmarks(top_projection(m, groups), check_solvable=False)
+        shared, goals = _achievability_goals(m, lg)
+        for goal in goals:
+            _assert_search_matches_sets(shared.with_goal(goal))
+        _assert_lattice_matches_rebuilt_projections(m, groups)
