@@ -16,7 +16,9 @@ something reads it: the pipeline reads those of the explanation's
 members and their concretizations. The explanatory-fluent search walks
 candidate group subsets in nondecreasing update-cost order, so the
 first subset whose restoration makes every minimum-abstraction-set
-member unsolvable is also the cheapest.
+member unsolvable is also the cheapest. Costs and updates come from one
+listing of the candidate groups' occurrences in the root, taken before
+the walk; no model is built to count them.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ import functools
 import heapq
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
     LatticeError,
     LatticeSpecError,
     ModelError,
-    PipelineError,
     ProjectionRelationError,
     ResourceExhaustedError,
     RootSolvableError,
@@ -315,6 +315,12 @@ def find_explanatory_fluents(lat: AbstractionLattice,
     disjoint groups, so candidates are popped from a heap ordered by
     (cost, group count, names) and the first hit is optimal. Ties go to
     fewer groups, then lexicographic names.
+
+    Projection removes fluents but keeps every action, effect and action
+    name, so a restored fluent occurs in a concretization exactly where
+    it occurs in the root. A set's updates are therefore the union of
+    its groups' lists from one pass over the root, the same updates that
+    ``diff_models`` lists for each member and its concretization.
     """
     members = minimum_abstraction_set(lat) if minimum is None else minimum
     if not members:
@@ -324,33 +330,25 @@ def find_explanatory_fluents(lat: AbstractionLattice,
     if not universe:
         raise RootSolvableError("the concrete model is solvable; nothing to explain")
     # update sets of disjoint groups are disjoint, so one pass over the
-    # root yields every group's weight
+    # root yields every group's updates
     owner = {f: g for g in universe for f in lat.groups[g].members}
-    weight = Counter(owner[u.fluent] for u in _updates_for_fluents(lat.root, frozenset(owner)))
+    listed: dict[str, list[ModelUpdate]] = {g: [] for g in universe}
+    for u in _updates_for_fluents(lat.root, frozenset(owner)):
+        listed[owner[u.fluent]].append(u)
 
     heap: list[tuple[int, int, tuple[str, ...], int]] = []
     for i, g in enumerate(universe):
-        heapq.heappush(heap, (weight[g], 1, (g,), i))
+        heapq.heappush(heap, (len(listed[g]), 1, (g,), i))
     while heap:
         cost, size, names, frontier = heapq.heappop(heap)
         candidate = frozenset(names)
         if _explains(lat, members, candidate):
-            updates: set[ModelUpdate] = set()
-            for node in members:
-                conc = concretize(lat, node, candidate & node.projected)
-                updates.update(diff_models(node.model, conc.model))
-            ordered = sorted(updates, key=ModelUpdate.sort_key)
-            # the heap key must be the realized cost, or the first hit
-            # would not be the cheapest
-            if len(ordered) != cost:
-                raise PipelineError(
-                    f"group update costs are not additive: {names} realize "
-                    f"{len(ordered)} updates, expected {cost}"
-                )
-            return ExplanatorySet(candidate, len(ordered), tuple(ordered))
+            updates = sorted(itertools.chain.from_iterable(listed[g] for g in names),
+                             key=ModelUpdate.sort_key)
+            return ExplanatorySet(candidate, cost, tuple(updates))
         for j in range(frontier + 1, len(universe)):
             g = universe[j]
-            heapq.heappush(heap, (cost + weight[g], size + 1, names + (g,), j))
+            heapq.heappush(heap, (cost + len(listed[g]), size + 1, names + (g,), j))
     raise RootSolvableError("the concrete model is solvable; nothing to explain")
 
 

@@ -42,6 +42,7 @@ from .landmarks import (
     NATURAL,
     NECESSARY,
     Ordering,
+    linearize,
 )
 from .model import Action, DnfFormula, Effect, PlanningModel, holds
 from .search import SearchLimits, decide_solvable
@@ -214,21 +215,19 @@ def final_goal_landmark(m: PlanningModel, lg: LandmarkGraph) -> tuple[LandmarkGr
     return LandmarkGraph(lg.landmarks + (pseudo,), tuple(orderings)), pseudo
 
 
-def first_unachievable(m: PlanningModel, lg: LandmarkGraph, seq,
+def first_unachievable(m: PlanningModel, lg: LandmarkGraph,
                        limits: SearchLimits | None = None) -> FailedSubgoal:
-    """Scan a linearized landmark sequence for the first unachievable one.
+    """Scan lg's landmarks in its linear order for the first unachievable one.
 
     The model must be unsolvable. When every extracted landmark is still
     achievable, the goal conjunction itself is tested and returned as a
     final-goal failure, which is guaranteed to trigger on an unsolvable
     model. The graph is compiled once; each step only swaps the goal.
     """
-    seq = list(seq)
+    seq = linearize(lg)
     extended, pseudo = final_goal_landmark(m, lg)
     shared = compile_achievability(m, extended, pseudo)
     for i, lm in enumerate(seq + [pseudo]):
-        if not extended.contains(lm):
-            raise ModelError(f"landmark {lm.id} is not part of the graph")
         goal = frozenset({shared.table.id_of(f"first-time-lm{lm.id}")})
         result = decide_solvable(shared.with_goal(goal), limits)
         if result.exhausted:

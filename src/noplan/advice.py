@@ -48,16 +48,6 @@ logger = logging.getLogger(__name__)
 
 GOAL_ACCEPT = "goal-accept"
 
-TEMPLATES = (
-    "never-use-action",
-    "use-action-eventually",
-    "eventually-holds",
-    "never-holds",
-    "before",
-    "action-count-at-most",
-)
-
-
 @dataclass(frozen=True)
 class ActionLabel:
     name: str

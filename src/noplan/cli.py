@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--advice", required=True)
     p.add_argument("--out", required=True)
-    _add_budget_args(p)
     p.set_defaults(func=cmd_compile_advice)
 
     return parser

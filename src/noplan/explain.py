@@ -5,12 +5,13 @@ effective problem is unsolvable, build the abstraction lattice, take the
 solvable maximal elements, search for the cheapest group set whose
 restoration breaks all of them, then extract landmarks one level up and
 scan for the first subgoal that the explanatory level can no longer
-achieve. Output is self-verified: the unsolvability claims behind a
-non-degenerate explanation are re-checked with fresh searches before the
-explanation is returned. The lattice decides its nodes on projections of
-the root's search masks, while verification searches each explanatory
-level's model, projected from the root and compiled on its own, so the
-two decisions share no projection code.
+achieve. Every non-degenerate explanation is self-verified before it is
+returned: fresh searches re-check each explanatory level and a fresh
+achievability compilation of the headline subgoal, built from the
+landmark graph and levels the scan used. The lattice decides its nodes
+on projections of the root's search masks, while verification searches
+each explanatory level's model, projected from the root and compiled on
+its own, so the two decisions share no projection code.
 
 Degenerate cases: a solvable effective model yields a "solvable" report
 with a plan; a lattice whose top is already unsolvable yields an
@@ -39,7 +40,7 @@ from .abstraction import (
 from .achievability import FailedSubgoal, compile_achievability, final_goal_landmark, first_unachievable
 from .advice import ConstrainedModel, compose, parse_advice, strip_meta
 from .errors import ModelUnsolvableError, PipelineError, ResourceExhaustedError
-from .landmarks import Landmark, LandmarkGraph, extract_landmarks, linearize
+from .landmarks import Landmark, LandmarkGraph, extract_landmarks
 from .model import (
     DnfFormula,
     FluentTable,
@@ -91,7 +92,7 @@ class Explanation:
 
 def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None = None,
             *, limits: SearchLimits | None = None, exemplar: str = EXEMPLAR_AUTO,
-            verify: bool = True, dump_dir: str | None = None) -> Explanation:
+            dump_dir: str | None = None) -> Explanation:
     limits = limits or SearchLimits()
 
     cm: ConstrainedModel | None = None
@@ -123,22 +124,21 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
 
     failures: list[FailedSubgoal] = []
     targets: list[LatticeNode] = []
+    graphs: list[LandmarkGraph] = []
     for node in members:
         graph = extract_landmarks(node.model, check_solvable=False, limits=limits)
-        sequence = linearize(graph)
         target = concretize(lat, node, explanatory.groups & node.projected)
-        failed = first_unachievable(target.model, graph, sequence, limits)
+        failed = first_unachievable(target.model, graph, limits)
         failures.append(replace(failed, level=target))
         targets.append(target)
+        graphs.append(graph)
         if dump_dir:
             _dump(dump_dir, *_compile_failed(target.model, graph, failed))
 
     headline = failures[0]
     exemplar_trace = _exemplar(lat, members[0], targets[0], headline, explanatory,
                                exemplar, limits)
-
-    if verify:
-        _self_verify(lat, members, explanatory, headline, limits)
+    _self_verify(members, targets, graphs[0], explanatory, headline, limits)
 
     return Explanation(
         STATUS_EXPLAINED,
@@ -156,8 +156,7 @@ def _explain_top_unsolvable(base: PlanningModel, cm: ConstrainedModel | None,
                             dump_dir: str | None) -> Explanation:
     top = lat.node(lat.maximal_projected_sets()[0])
     graph = _top_landmarks(base, cm, top, limits)
-    sequence = linearize(graph)
-    failed = first_unachievable(top.model, graph, sequence, limits)
+    failed = first_unachievable(top.model, graph, limits)
     failed = replace(failed, level=top)
     if dump_dir:
         _dump(dump_dir, *_compile_failed(top.model, graph, failed))
@@ -178,15 +177,20 @@ def _top_landmarks(base: PlanningModel, cm: ConstrainedModel | None,
     which subgoal the advice forbids. Otherwise the goal conjuncts are
     scanned directly.
     """
-    if cm is not None and decide_solvable(base, limits).solvable:
-        graph = extract_landmarks(base, check_solvable=False, limits=limits)
-        keep = [lm for lm in graph.landmarks
-                if lm.formula.fluents <= top.model.fluents]
-        ids = {lm.id for lm in keep}
-        orderings = tuple(o for o in graph.orderings
-                          if o.source in ids and o.target in ids)
-        if keep:
-            return LandmarkGraph(tuple(keep), orderings)
+    if cm is not None:
+        result = decide_solvable(base, limits)
+        if result.exhausted:
+            raise ResourceExhaustedError(
+                f"solvability of the model without advice: {result.detail}")
+        if result.solvable:
+            graph = extract_landmarks(base, check_solvable=False, limits=limits)
+            keep = [lm for lm in graph.landmarks
+                    if lm.formula.fluents <= top.model.fluents]
+            ids = {lm.id for lm in keep}
+            orderings = tuple(o for o in graph.orderings
+                              if o.source in ids and o.target in ids)
+            if keep:
+                return LandmarkGraph(tuple(keep), orderings)
     landmarks = tuple(
         Landmark(i, DnfFormula.atom(g), is_goal_conjunct=True,
                  holds_in_init=g in top.model.init)
@@ -236,11 +240,14 @@ def _complex_formula(formula: DnfFormula) -> bool:
     return len(formula.disjuncts) > 1 or any(len(d) > 3 for d in formula.disjuncts)
 
 
-def _self_verify(lat: AbstractionLattice, members, explanatory: ExplanatorySet,
+def _self_verify(members, targets, graph: LandmarkGraph, explanatory: ExplanatorySet,
                  headline: FailedSubgoal, limits: SearchLimits) -> None:
-    """Re-check the unsolvability claims behind the explanation from scratch."""
-    for node in members:
-        target = concretize(lat, node, explanatory.groups & node.projected)
+    """Re-check the unsolvability claims behind the explanation with fresh searches.
+
+    targets are the members' explanatory levels and graph the first
+    member's landmark graph, as the scan used them.
+    """
+    for node, target in zip(members, targets):
         fresh = decide_solvable(target.model, limits)
         if fresh.exhausted:
             raise ResourceExhaustedError("self-verification of the explanatory level")
@@ -249,7 +256,6 @@ def _self_verify(lat: AbstractionLattice, members, explanatory: ExplanatorySet,
                 f"restoring {sorted(explanatory.groups)} left node "
                 f"{sorted(node.projected)} solvable"
             )
-    graph = extract_landmarks(members[0].model, check_solvable=False, limits=limits)
     _, compiled = _compile_failed(headline.level.model, graph, headline)
     fresh = decide_solvable(compiled, limits)
     if fresh.exhausted:

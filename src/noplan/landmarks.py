@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .errors import CycleError, ModelUnsolvableError
+from .errors import CycleError, ModelUnsolvableError, ResourceExhaustedError
 from .model import DnfFormula, PlanningModel, format_formula, holds
 from .search import SearchLimits, decide_solvable, relaxed_reachable
 
@@ -46,23 +46,52 @@ class Ordering:
 
 @dataclass(frozen=True)
 class LandmarkGraph:
+    """Landmarks and their orderings, checked acyclic and linearized once.
+
+    The order is deterministic: among unordered peers, landmarks already
+    true initially come first, and remaining ties break on ascending
+    landmark id. ``linearize`` returns it.
+    """
+
     landmarks: tuple[Landmark, ...]
     orderings: tuple[Ordering, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, default=None)
     _preds: dict = field(init=False, repr=False, compare=False, default=None)
+    _order: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         by_id = {lm.id: lm for lm in self.landmarks}
         preds: dict[tuple[int, str], list[Landmark]] = {}
+        indeg = {lm.id: 0 for lm in self.landmarks}
+        succs: dict[int, set[int]] = {lm.id: set() for lm in self.landmarks}
         for o in self.orderings:
             if o.source == o.target:
                 raise CycleError("self-loop ordering")
             if o.source not in by_id or o.target not in by_id:
                 raise CycleError("ordering endpoint is not a landmark")
             preds.setdefault((o.target, o.kind), []).append(by_id[o.source])
+            if o.target not in succs[o.source]:
+                succs[o.source].add(o.target)
+                indeg[o.target] += 1
+
+        def key(lm_id: int):
+            return (0 if by_id[lm_id].holds_in_init else 1, lm_id)
+
+        ready = sorted((i for i, d in indeg.items() if d == 0), key=key)
+        order: list[Landmark] = []
+        while ready:
+            n = ready.pop(0)
+            order.append(by_id[n])
+            for s in sorted(succs[n]):
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    ready.append(s)
+            ready.sort(key=key)
+        if len(order) != len(self.landmarks):
+            raise CycleError("landmark orderings contain a cycle")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_preds", preds)
-        linearize(self)  # raises on cycles
+        object.__setattr__(self, "_order", tuple(order))
 
     def by_id(self, lm_id: int) -> Landmark:
         return self._by_id[lm_id]
@@ -76,9 +105,18 @@ class LandmarkGraph:
 
 def extract_landmarks(m: PlanningModel, *, check_solvable: bool = True,
                       limits: SearchLimits | None = None) -> LandmarkGraph:
-    """Extract a sound landmark graph from a solvable model."""
-    if check_solvable and not decide_solvable(m, limits).solvable:
-        raise ModelUnsolvableError("landmark extraction needs a solvable model")
+    """Extract a sound landmark graph from a solvable model.
+
+    With check_solvable, an unsolvable model raises ModelUnsolvableError
+    and a search that exhausts its limits raises ResourceExhaustedError.
+    """
+    if check_solvable:
+        result = decide_solvable(m, limits)
+        if result.exhausted:
+            raise ResourceExhaustedError(
+                f"solvability check before landmark extraction: {result.detail}")
+        if not result.solvable:
+            raise ModelUnsolvableError("landmark extraction needs a solvable model")
 
     static = _static_fluents(m)
     landmarks: list[Landmark] = []
@@ -222,35 +260,8 @@ def _add_natural_closure(orderings: set[Ordering], succ: dict[int, set[int]]) ->
 
 
 def linearize(g: LandmarkGraph) -> list[Landmark]:
-    """Deterministic topological order of the landmark graph.
-
-    Among unordered peers, landmarks already true initially come first;
-    remaining ties break on ascending landmark id.
-    """
-    indeg = {lm.id: 0 for lm in g.landmarks}
-    succs: dict[int, set[int]] = {lm.id: set() for lm in g.landmarks}
-    for o in g.orderings:
-        if o.target not in succs[o.source]:
-            succs[o.source].add(o.target)
-            indeg[o.target] += 1
-    by_id = g._by_id
-
-    def key(lm_id: int):
-        return (0 if by_id[lm_id].holds_in_init else 1, lm_id)
-
-    ready = sorted((i for i, d in indeg.items() if d == 0), key=key)
-    out: list[Landmark] = []
-    while ready:
-        n = ready.pop(0)
-        out.append(by_id[n])
-        for s in sorted(succs[n]):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-        ready.sort(key=key)
-    if len(out) != len(g.landmarks):
-        raise CycleError("landmark orderings contain a cycle")
-    return out
+    """The graph's topological order, computed once when it was built."""
+    return list(g._order)
 
 
 def graph_to_json(m: PlanningModel, g: LandmarkGraph) -> dict:

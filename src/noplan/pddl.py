@@ -30,7 +30,6 @@ from .model import Action, Effect, FluentTable, PlanningModel, maintain_compleme
 from .search import relaxed_reachable
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s();]+")
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 REQUIREMENTS = {":strips", ":typing", ":negative-preconditions", ":conditional-effects"}
 
@@ -89,6 +88,19 @@ def _head(form) -> str:
 
 def _err(tok: Tok, message: str) -> PddlError:
     return PddlError(message, tok.line, tok.col)
+
+
+def _name(item, what: str) -> Tok:
+    """item as a name token; a parenthesized form in its place is a PddlError."""
+    if isinstance(item, Tok):
+        return item
+    inner = item
+    while isinstance(inner, list) and inner:
+        inner = inner[0]
+    message = f"expected a name in {what}, found a parenthesized form"
+    if isinstance(inner, Tok):
+        raise _err(inner, message)
+    raise PddlError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +214,7 @@ def _parse_literals(form, predicates, *, allow_vars: bool, allow_neg: bool, what
             raise _err(f, f"expected a parenthesized {what}")
         if not f:
             return  # (and) and () are empty conjunctions
-        head = f[0]
+        head = _name(f[0], what)
         kw = head.text.lower()
         if kw == "and":
             for sub in f[1:]:
@@ -232,59 +244,36 @@ def _parse_effect(form, predicates) -> list[SchemaEffect]:
     plain_dels: list[LiftedAtom] = []
     conditional: list[SchemaEffect] = []
 
-    def walk(f):
+    def walk(f, adds, dels, top: bool):
         if isinstance(f, Tok):
             raise _err(f, "expected a parenthesized effect")
         if not f:
             return
-        head = f[0]
+        head = _name(f[0], "effect")
         kw = head.text.lower()
         if kw == "and":
             for sub in f[1:]:
-                walk(sub)
+                walk(sub, adds, dels, top)
         elif kw == "not":
             if len(f) != 2:
                 raise _err(head, "(not ...) takes exactly one atom")
-            plain_dels.append(_parse_atom(f[1], predicates, allow_vars=True))
+            dels.append(_parse_atom(f[1], predicates, allow_vars=True))
         elif kw == "when":
+            if not top:
+                raise _err(head, "nested (when ...) is not supported")
             if len(f) != 3:
                 raise _err(head, "(when ...) takes a condition and an effect")
-            cond_pos, cond_neg = _parse_literals(
+            cond, _ = _parse_literals(
                 f[1], predicates, allow_vars=True, allow_neg=False, what="effect condition"
             )
-            if cond_neg:
-                raise _err(head, "negation not allowed in effect conditions")
-            adds, dels = _parse_when_body(f[2], predicates)
-            conditional.append(SchemaEffect(cond_pos, adds, dels))
+            when_adds: list[LiftedAtom] = []
+            when_dels: list[LiftedAtom] = []
+            walk(f[2], when_adds, when_dels, False)
+            conditional.append(SchemaEffect(cond, tuple(when_adds), tuple(when_dels)))
         else:
-            plain_adds.append(_parse_atom(f, predicates, allow_vars=True))
+            adds.append(_parse_atom(f, predicates, allow_vars=True))
 
-    def _parse_when_body(f, predicates):
-        adds: list[LiftedAtom] = []
-        dels: list[LiftedAtom] = []
-
-        def inner(g):
-            if isinstance(g, Tok):
-                raise _err(g, "expected a parenthesized effect")
-            if not g:
-                return
-            kw = g[0].text.lower()
-            if kw == "and":
-                for sub in g[1:]:
-                    inner(sub)
-            elif kw == "not":
-                if len(g) != 2:
-                    raise _err(g[0], "(not ...) takes exactly one atom")
-                dels.append(_parse_atom(g[1], predicates, allow_vars=True))
-            elif kw == "when":
-                raise _err(g[0], "nested (when ...) is not supported")
-            else:
-                adds.append(_parse_atom(g, predicates, allow_vars=True))
-
-        inner(f)
-        return tuple(adds), tuple(dels)
-
-    walk(form)
+    walk(form, plain_adds, plain_dels, True)
     effects = []
     if plain_adds or plain_dels or not conditional:
         effects.append(SchemaEffect((), tuple(plain_adds), tuple(plain_dels)))
@@ -325,9 +314,11 @@ def parse_model(domain_text: str, problem_text: str) -> LiftedModel:
     for section in domain_form[1:]:
         head = _head(section)
         if head == "domain":
-            domain_name = section[1].text.lower() if len(section) > 1 else ""
+            if len(section) > 1:
+                domain_name = _name(section[1], "(domain ...)").text.lower()
         elif head == ":requirements":
             for req in section[1:]:
+                req = _name(req, ":requirements")
                 if req.text.lower() not in REQUIREMENTS:
                     raise _err(req, f"unsupported requirement {req.text}")
         elif head == ":types":
@@ -340,7 +331,7 @@ def parse_model(domain_text: str, problem_text: str) -> LiftedModel:
             for p in section[1:]:
                 if not isinstance(p, list) or not p:
                     raise PddlError("malformed predicate declaration")
-                pname = p[0].text.lower()
+                pname = _name(p[0], "predicate declaration").text.lower()
                 params = _parse_typed_list(p[1:], what="predicate parameter")
                 for _, t in params:
                     if t not in types:
@@ -365,7 +356,8 @@ def parse_model(domain_text: str, problem_text: str) -> LiftedModel:
     for section in problem_form[1:]:
         head = _head(section)
         if head == "problem":
-            problem_name = section[1].text.lower() if len(section) > 1 else ""
+            if len(section) > 1:
+                problem_name = _name(section[1], "(problem ...)").text.lower()
         elif head == ":domain":
             pass
         elif head == ":objects":
@@ -732,13 +724,13 @@ def parse_ground_formula(text: str, m: PlanningModel):
             raise _err(f, "expected a parenthesized formula")
         if not f:
             return ("and",)
-        head = f[0]
+        head = _name(f[0], "formula")
         kw = head.text.lower()
         if kw in ("and", "or"):
             return (kw, *(walk(sub) for sub in f[1:]))
         if kw == "not":
             raise _err(head, "negation is not supported in formulas")
-        args = tuple(t.text.lower() for t in f[1:])
+        args = tuple(_name(t, f"atom ({kw} ...)").text.lower() for t in f[1:])
         fid = m.table.get(kw, args)
         if fid is None or fid not in m.fluents:
             raise _err(head, f"unresolved atom ({kw} {' '.join(args)})")

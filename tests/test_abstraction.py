@@ -10,6 +10,7 @@ from noplan.abstraction import (
     AbstractionLattice,
     FluentGroup,
     LatticeSpec,
+    ModelUpdate,
     build_lattice,
     concretize,
     diff_models,
@@ -19,6 +20,7 @@ from noplan.abstraction import (
     project_model,
     resolve_groups,
 )
+from noplan.advice import compose, parse_advice
 from noplan.errors import (
     LatticeError,
     LatticeSpecError,
@@ -31,8 +33,9 @@ from noplan.model import PlanningModel, validate_plan
 from noplan.pddl import ground, parse_model
 from noplan.search import SearchLimits, decide_solvable
 
-from .conftest import INSTANCES, build_model, minirover_groups
+from .conftest import INSTANCES, build_model, bundled_models, minirover_groups
 from .oracles import enumerate_plans, project_by_rebuild, same_content
+from .random_models import unsolvable_corpus
 from .test_search import micro_models
 
 
@@ -465,8 +468,6 @@ def test_replay_decides_a_node_whose_search_exhausts_the_budget():
 
 def _lattice_as_explain_builds_it(m, spec, advice_text=None):
     """The lattice of explain, decided as far as the explanatory-set search goes."""
-    from noplan.advice import compose, parse_advice
-
     effective = compose(m, parse_advice(advice_text, m)).compiled if advice_text else m
     lat = build_lattice(effective, resolve_groups(effective, spec), spec.forbidden)
     lat.root_node.solvable = decide_solvable(effective)
@@ -578,3 +579,39 @@ def test_explaining_builds_models_only_for_members_and_concretizations(forbidden
     models = [n.model for n in members + targets]
     assert all(any(model is other for other in models)
                for model, _ in recorded if model is not m)
+
+
+def _explanatory_inputs():
+    """(label, effective model, groups): the bundled instances with and
+    without each advice file, and a seeded corpus with its advice."""
+    yield from bundled_models()
+    for i, (m, groups, advice) in enumerate(unsolvable_corpus(20240, 50)):
+        if advice is not None:
+            spec = LatticeSpec(tuple(
+                (g.name, tuple(sorted({m.table.fluent(f).name for f in g.members})))
+                for g in groups))
+            m = compose(m, parse_advice(advice, m)).compiled
+            groups = resolve_groups(m, spec)
+        yield f"corpus-{i}", m, groups
+
+
+def test_explanatory_updates_equal_member_diffs():
+    """The updates listed once over the root are the union of diff_models
+    over the members and their concretizations."""
+    checked = 0
+    for label, m, groups in _explanatory_inputs():
+        if decide_solvable(m).solvable:
+            continue
+        lat = build_lattice(m, groups)
+        members = minimum_abstraction_set(lat)
+        if not members:
+            continue
+        found = find_explanatory_fluents(lat, members)
+        diffs: set[ModelUpdate] = set()
+        for node in members:
+            conc = concretize(lat, node, found.groups & node.projected)
+            diffs |= set(diff_models(node.model, conc.model))
+        assert found.updates == tuple(sorted(diffs, key=ModelUpdate.sort_key)), label
+        assert found.cost == len(found.updates), label
+        checked += 1
+    assert checked >= 40

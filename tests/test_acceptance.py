@@ -108,7 +108,7 @@ def test_acceptance_2_soundness_suite(corpus):
     non_degenerate = 0
     for i, (m, groups, advice) in enumerate(corpus):
         spec = _spec_for(m, groups)
-        e = explain(m, spec, advice, limits=LIMITS, verify=False)
+        e = explain(m, spec, advice, limits=LIMITS)
         if e.status != STATUS_EXPLAINED:
             continue
         non_degenerate += 1
@@ -142,7 +142,7 @@ def test_acceptance_3_minimality(corpus):
         if len(groups) > 4:
             continue
         spec = _spec_for(m, groups)
-        e = explain(m, spec, advice, limits=LIMITS, verify=False)
+        e = explain(m, spec, advice, limits=LIMITS)
         if e.status != STATUS_EXPLAINED:
             continue
         checked += 1

@@ -72,8 +72,7 @@ def test_compile_rejects_foreign_landmark(norocks):
 
 def test_first_unachievable_minirover(minirover, norocks):
     g = extract_landmarks(norocks)
-    seq = linearize(g)
-    failed = first_unachievable(minirover, g, seq)
+    failed = first_unachievable(minirover, g)
     assert not failed.is_final_goal
     names = {minirover.table.canonical(f)
              for d in failed.landmark.formula.disjuncts for f in d}
@@ -103,15 +102,14 @@ def test_first_unachievable_final_goal_marker():
         Landmark(1, DnfFormula.atom(m.table.id_of("q")), is_goal_conjunct=True),
     )
     g = LandmarkGraph(lms, ())
-    failed = first_unachievable(m, g, linearize(g))
+    failed = first_unachievable(m, g)
     assert failed.is_final_goal
     assert len(failed.achieved_prefix) == 2
 
 
 def test_monotone_failure_prefix_all_achievable(minirover, norocks):
     g = extract_landmarks(norocks)
-    seq = linearize(g)
-    failed = first_unachievable(minirover, g, seq)
+    failed = first_unachievable(minirover, g)
     extended, _ = final_goal_landmark(minirover, g)
     for lm in failed.achieved_prefix:
         compiled = compile_achievability(minirover, extended, lm)
@@ -279,7 +277,7 @@ def _check_shared_compile(m):
             if not a.adds & lm.formula.fluents:
                 assert completion_pairs(a, lm.formula) == []
     seq = linearize(g)
-    failed = first_unachievable(m, g, seq)
+    failed = first_unachievable(m, g)
     assert failed == _scan_per_landmark(m, extended, seq, pseudo)
     return failed, seq
 

@@ -72,6 +72,57 @@ def test_explain_input_error_exit_two(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+DOUBLED_PARENTHESES = [
+    ("domain.pddl", "(and (at ?x) (conn ?x ?y) (clear ?y))",
+     "(and ((at ?x)) (conn ?x ?y) (clear ?y))"),
+    ("domain.pddl", "(and (at ?y) (not (at ?x)))", "(and ((at ?y)) (not (at ?x)))"),
+    ("domain.pddl", "(and (at ?y) (not (at ?x)))",
+     "(and (at ?y) (not (at ?x)) (when (clear ?y) ((clear ?x))))"),
+    ("domain.pddl", "(and (at ?y) (not (at ?x)))",
+     "(and (at ?y) (not (at ?x)) (when ((clear ?y)) (clear ?x)))"),
+    ("domain.pddl", "(:predicates (at ?l - location)", "(:predicates ((at ?l - location))"),
+    ("domain.pddl", "(:requirements :strips :typing)", "(:requirements (:strips) :typing)"),
+    ("problem.pddl", "(:goal (and (at l3)))", "(:goal (and ((at l3))))"),
+]
+
+
+@pytest.mark.parametrize("name, old, new", DOUBLED_PARENTHESES)
+def test_doubled_parentheses_in_pddl_exit_two(tmp_path, capsys, name, old, new):
+    for fname in ("domain.pddl", "problem.pddl"):
+        text = (MINIROVER / fname).read_text()
+        if fname == name:
+            assert old in text
+            text = text.replace(old, new, 1)
+        (tmp_path / fname).write_text(text)
+    code = main([
+        "explain",
+        "--domain", str(tmp_path / "domain.pddl"),
+        "--problem", str(tmp_path / "problem.pddl"),
+        "--lattice", str(MINIROVER / "lattice.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "parenthesized form" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("formula", ["((at l1))", "(or (at l2) ((at l1)))", "(at (l1))"])
+def test_doubled_parentheses_in_advice_formula_exit_two(tmp_path, capsys, formula):
+    advice = tmp_path / "advice.json"
+    advice.write_text(json.dumps([{"template": "never-holds", "formula": formula}]))
+    code = main([
+        "explain",
+        "--domain", str(MINIROVER / "domain.pddl"),
+        "--problem", str(MINIROVER / "problem.pddl"),
+        "--lattice", str(MINIROVER / "lattice.json"),
+        "--advice", str(advice),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "parenthesized form" in err
+    assert err.count("\n") == 1
+
+
 def test_explain_lattice_predicate_in_two_groups_exit_two(tmp_path, capsys):
     spec = tmp_path / "lattice.json"
     spec.write_text(json.dumps({"groups": [
@@ -321,6 +372,21 @@ def test_landmarks_on_unsolvable_exits_one(capsys):
     assert code == 1
 
 
+def test_landmarks_budget_overrun_exits_three(capsys):
+    # blocksworld is solvable; a one-node budget cannot show it, which
+    # is an overrun, not an unsolvable problem
+    blocks = INSTANCES / "blocksworld"
+    code = main([
+        "landmarks",
+        "--domain", str(blocks / "domain.pddl"),
+        "--problem", str(blocks / "problem.pddl"),
+        "--node-budget", "1",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gave up:") and "landmark extraction" in err
+
+
 def test_landmarks_dump(tmp_path, capsys):
     domain = (MINIROVER / "domain.pddl").read_text().replace("(clear ?y)", "(conn ?x ?y)")
     d = tmp_path / "d.pddl"
@@ -380,6 +446,22 @@ def test_compile_advice_roundtrip(tmp_path, capsys):
     assert not decide_solvable(m).solvable
     names = {m.table.canonical(f) for f in m.fluents}
     assert any(n.startswith("in-state-") for n in names)
+
+
+@pytest.mark.parametrize("flag", ["--node-budget", "--time-budget"])
+def test_compile_advice_takes_no_budget(tmp_path, capsys, flag):
+    # compile-advice runs no search, so it offers no search budget
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "compile-advice",
+            "--domain", str(MINIROVER / "domain.pddl"),
+            "--problem", str(MINIROVER / "problem.pddl"),
+            "--advice", str(MINIROVER / "advice-block-first-move.json"),
+            "--out", str(tmp_path / "sigma.pddl"),
+            flag, "1",
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -1,9 +1,11 @@
+import importlib
 import json
 
 import pytest
 
+from noplan import abstraction
 from noplan.abstraction import LatticeSpec, build_lattice, minimum_abstraction_set
-from noplan.errors import ModelUnsolvableError
+from noplan.errors import ModelUnsolvableError, ResourceExhaustedError
 from noplan.explain import (
     EXEMPLAR_ALWAYS,
     EXEMPLAR_NEVER,
@@ -14,7 +16,7 @@ from noplan.explain import (
     explain,
     render,
 )
-from noplan.search import decide_solvable
+from noplan.search import SearchLimits, decide_solvable
 
 from .conftest import build_model, minirover_groups
 
@@ -102,11 +104,28 @@ def test_explain_unsolvable_at_top_without_advice():
     assert _names(m, e.failed) == {"g"}
 
 
-def test_explain_restricted_lattice_reports_secondary():
-    """Two alternative routes, each blocked by its own detail group, with
-    the joint projection forbidden: two maximal elements survive, the
-    report headlines the lexicographically first and keeps the other."""
+def test_explain_unsolvable_at_top_base_search_overrun_raises():
+    # advice forbids the only goal achiever, so every level is unsolvable
+    # (decided without expanding a node); the base model needs three
+    # steps, which a one-node budget cannot show
     m, ids = build_model(
+        ["a", "b", "g", "x"],
+        [("s1", [], ["a"], []), ("s2", ["a"], ["b"], []), ("s3", ["b"], ["g"], []),
+         ("s4", [], ["x"], [])],
+        [],
+        ["g"],
+    )
+    spec = LatticeSpec((("xs", ("x",)),))
+    advice = json.dumps([{"template": "never-use-action", "action": "s3"}])
+    assert explain(m, spec, advice).status == STATUS_TOP_UNSOLVABLE
+    with pytest.raises(ResourceExhaustedError, match="without advice"):
+        explain(m, spec, advice, limits=SearchLimits(max_nodes=1))
+
+
+def _restricted_lattice_case():
+    """Two alternative routes, each blocked by its own detail group, with
+    the joint projection forbidden: two maximal elements survive."""
+    m, _ = build_model(
         ["at_l1", "at_l2", "key_k", "door_d", "g"],
         [
             ("walk_door", ["at_l1", "door_d"], ["at_l2"], ["at_l1"]),
@@ -120,6 +139,13 @@ def test_explain_restricted_lattice_reports_secondary():
         (("doors", ("door",)), ("keys", ("key",))),
         forbidden=(frozenset({"doors", "keys"}),),
     )
+    return m, spec
+
+
+def test_explain_restricted_lattice_reports_secondary():
+    """The report headlines the lexicographically first maximal element
+    and keeps the other."""
+    m, spec = _restricted_lattice_case()
     e = explain(m, spec)
     assert e.status == STATUS_EXPLAINED
     assert e.explanatory.groups == frozenset({"doors", "keys"})
@@ -247,8 +273,8 @@ def test_render_human_solvable_prints_plan(norocks):
 
 
 def test_pipeline_self_verification_runs(minirover, minirover_spec):
-    # verify=True is the default; a full run must not raise
-    e = explain(minirover, minirover_spec, verify=True)
+    # every explanation is self-verified; a full run must not raise
+    e = explain(minirover, minirover_spec)
     assert e.status == STATUS_EXPLAINED
     # the verified claims hold when re-checked here as well
     groups = minirover_groups(minirover)
@@ -272,3 +298,31 @@ def test_explain_dump_compiled(tmp_path, minirover, minirover_spec):
     prob = (out / f"{stem}-problem.pddl").read_text()
     reparsed = ground(parse_model(dom, prob))
     assert reparsed.fluents
+
+
+def test_explain_builds_each_artifact_once(tmp_path, monkeypatch, minirover, minirover_spec):
+    """One update listing per explanation, no diff_models, and one
+    landmark extraction per minimum-set member (the scan, the dump and
+    self-verification share it)."""
+    calls = {"extract_landmarks": 0, "_updates_for_fluents": 0, "diff_models": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # the package re-exports the function explain under the module's name
+    count(importlib.import_module("noplan.explain"), "extract_landmarks")
+    count(abstraction, "_updates_for_fluents")
+    count(abstraction, "diff_models")
+    for i, (m, spec) in enumerate([(minirover, minirover_spec), _restricted_lattice_case()]):
+        for key in calls:
+            calls[key] = 0
+        e = explain(m, spec, dump_dir=str(tmp_path / str(i)))
+        assert e.status == STATUS_EXPLAINED
+        assert calls == {"extract_landmarks": 1 + len(e.secondary),
+                         "_updates_for_fluents": 1, "diff_models": 0}
