@@ -417,14 +417,18 @@ def resolve_groups(m: PlanningModel, spec: LatticeSpec) -> list[FluentGroup]:
     project together. A spec that lists p and its complement not-p in
     different groups would split such a pair, and is rejected.
     """
+    # one pass over the fluents matches each to the groups listing its predicate
+    listing: dict[str, list[int]] = {}
+    for position, (_, preds) in enumerate(spec.groups):
+        for pred in set(preds):
+            listing.setdefault(pred, []).append(position)
+    matched: list[set[int]] = [set() for _ in spec.groups]
+    for fid in m.fluents:
+        for position in listing.get(m.table.fluent(fid).name, ()):
+            matched[position].add(fid)
     out = []
     owner: dict[int, str] = {}
-    for name, preds in spec.groups:
-        wanted = set(preds)
-        members: set[int] = set()
-        for fid in m.fluents:
-            if m.table.fluent(fid).name in wanted:
-                members.add(fid)
+    for (name, _), members in zip(spec.groups, matched):
         for fid in list(members):
             partner = m.table.complement(fid)
             if partner is not None and partner in m.fluents:

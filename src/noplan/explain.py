@@ -125,7 +125,7 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
     failures: list[FailedSubgoal] = []
     targets: list[LatticeNode] = []
     graphs: list[LandmarkGraph] = []
-    for node in members:
+    for position, node in enumerate(members):
         graph = extract_landmarks(node.model, check_solvable=False, limits=limits)
         target = concretize(lat, node, explanatory.groups & node.projected)
         failed = first_unachievable(target.model, graph, limits)
@@ -133,7 +133,7 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
         targets.append(target)
         graphs.append(graph)
         if dump_dir:
-            _dump(dump_dir, *_compile_failed(target.model, graph, failed))
+            _dump(dump_dir, *_compile_failed(target.model, graph, failed, position))
 
     headline = failures[0]
     exemplar_trace = _exemplar(lat, members[0], targets[0], headline, explanatory,
@@ -264,16 +264,18 @@ def _self_verify(members, targets, graph: LandmarkGraph, explanatory: Explanator
         raise PipelineError("the reported failed subgoal is achievable after all")
 
 
-def _compile_failed(level: PlanningModel, graph: LandmarkGraph,
-                    failed: FailedSubgoal) -> tuple[str, PlanningModel]:
+def _compile_failed(level: PlanningModel, graph: LandmarkGraph, failed: FailedSubgoal,
+                    position: int = 0) -> tuple[str, PlanningModel]:
     """The dump stem and the achievability compilation of failed's subgoal on level.
 
     A failed final goal is compiled as the pseudo landmark that
-    final_goal_landmark adds for the goal conjunction.
+    final_goal_landmark adds for the goal conjunction. Landmark ids are
+    per graph, so the stem also names the position of the failed
+    subgoal's member in the minimum abstraction set.
     """
     extended, pseudo = final_goal_landmark(level, graph)
     lm = pseudo if failed.is_final_goal else failed.landmark
-    return f"subgoal-{lm.id}", compile_achievability(level, extended, lm)
+    return f"subgoal-{position}-{lm.id}", compile_achievability(level, extended, lm)
 
 
 def _dump(directory: str, stem: str, model: PlanningModel) -> None:

@@ -28,11 +28,13 @@ masks, then the breadth-first search over the ops whose preconditions
 model's masks. It first checks the relaxed-reachable fluent set itself,
 so a goal outside it is answered before any mask is compiled, and then
 compiles only the actions and effects inside the set. The set, the
-masks and decide_masks' own tables (its relaxed bits and successor
-index) are kept in the model's ``_search`` dict. None depends on the
-goal, so a ``with_goal`` copy shares that dict with its source and only
-the goal mask is built per call; a projection made by ``without`` gets
-an empty one.
+masks and decide_masks' own tables (its relaxed bits, successor index
+and pair set) are kept in the model's ``_search`` dict. None depends on
+the goal, so a ``with_goal`` copy shares that dict with its source and
+only the goal mask is built per call: one pair set serves every
+landmark goal of an achievability scan. A projection made by
+``without`` gets an empty one, and a lattice node's search keeps no
+tables, so nothing built for one projection serves another.
 
 The successor index follows the precondition-indexed successor
 generator of Helmert ("The Fast Downward Planning System", JAIR 2006).
@@ -46,6 +48,30 @@ and ops drawn from more than one source are sorted back into that
 order, so successors are still generated in model action order and the
 plan found is still the first shortest. A search keeps each merged list
 for the next state that holds the same key bits.
+
+A search that runs long gets one polynomial unsolvability check: the
+pairs of atoms that can hold together in some reachable state (h^2,
+Haslum & Geffner, "Admissible Heuristics for Optimal Planning", AIPS
+2000). A goal with a pair outside that set, or an atom outside it, is
+unreachable, which is the local-consistency test of Bäckström, Jonsson
+& Ståhlberg ("Fast Detection of Unsolvable Planning Instances Using
+Local Consistency", SoCS 2013). _bfs runs the pass (_pairs) over the
+ops of the successor index once it is about to expand state number
+GATE times the index's op count without having reached the goal; on
+every benchmark workload a solvable search ends well before that, so
+only exhaustive proofs pay for the pass. Conditional effects are
+handled conservatively: a conditional add counts once its condition is
+pairwise reachable together with the precondition, conditional deletes
+are ignored, and adds win over deletes. So the pair set can only hold
+more pairs than the exact one, and an "unsolvable" from it is still
+exact. The pair set does not depend on the goal, so it is kept in the
+tables with the successor index, and a later search over the same
+tables whose node budget lets it reach the gate checks its goal against
+the stored set before expanding a state. Either way the check answers
+only a search whose budget would let it reach the gate: a search with
+``max_nodes <= gate`` returns what plain breadth-first search returns,
+and above that, a search that plain breadth-first search would end
+"resource-exhausted" can end "unsolvable" instead.
 
 A lattice decides its nodes on its root's masks (see abstraction.py):
 compiled without the relaxed filter, since a projection can make more
@@ -69,8 +95,26 @@ UNSOLVABLE = "unsolvable"
 EXHAUSTED = "resource-exhausted"
 
 
+# the pair check runs once a search is about to expand state number
+# GATE times its op count; no solvable search of a benchmark workload
+# gets that far
+GATE = 4
+
+
 @dataclass(frozen=True)
 class SearchLimits:
+    """Budgets of one search: states expanded and seconds spent.
+
+    max_nodes is exact; the clock is read at the first expansion and
+    then every 256 expansions. Budgets turn an undecided search into a
+    "resource-exhausted" result, never a wrong answer. A search whose
+    max_nodes is above its gate (GATE times the number of ops that can
+    fire) runs the pair check at the gate, so it can end "unsolvable"
+    where plain breadth-first search with the same budget ends
+    exhausted; with max_nodes at or below the gate it ends as plain
+    breadth-first search does.
+    """
+
     max_nodes: int = 10_000_000
     max_seconds: float = 300.0
 
@@ -218,9 +262,10 @@ def decide_masks(init: int, goal: int, ops, limits: SearchLimits | None = None,
     """Decide whether a goal state is reachable from init over ops.
 
     The masks are those of compile_masks, or a projection of them. The
-    relaxed-reachable bits and the successor index of the ops that can
-    fire within them do not depend on the goal; given tables, they are
-    kept there for the next call with the same init and ops.
+    relaxed-reachable bits, the successor index of the ops that can
+    fire within them and the pair set, once a search has built it, do
+    not depend on the goal; given tables, they are kept there for the
+    next call with the same init and ops.
     """
     limits = limits or SearchLimits()
     if goal & init == goal:
@@ -234,7 +279,7 @@ def decide_masks(init: int, goal: int, ops, limits: SearchLimits | None = None,
     index = tables.get("live")
     if index is None:
         index = tables["live"] = _live(ops, relaxed, init)
-    return _bfs(init, goal, index, limits)
+    return _bfs(init, goal, index, limits, tables)
 
 
 def _relaxed(init: int, ops) -> int:
@@ -301,8 +346,13 @@ def _live(ops, reached: int, init: int):
     return always, keys, buckets
 
 
-def _bfs(init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
+def _bfs(init: int, goal: int, index, limits: SearchLimits, tables: dict) -> SearchResult:
     always, keys, buckets = index
+    gate = GATE * (len(always) + sum(map(len, buckets.values())))
+    # a stored pair set answers now what the search would find at the gate
+    pairs = tables.get("pairs")
+    if pairs is not None and gate < limits.max_nodes and not _pairwise(goal, pairs):
+        return SearchResult(UNSOLVABLE)
     # merged candidate lists by the key bits a state holds, shared by
     # the states that hold the same ones
     merged: dict[int, list] = {}
@@ -313,8 +363,14 @@ def _bfs(init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
     while queue:
         if expanded >= limits.max_nodes:
             return SearchResult(EXHAUSTED, None, f"node budget {limits.max_nodes} reached")
-        if time.monotonic() > deadline:
+        if not expanded & 255 and time.monotonic() >= deadline:
             return SearchResult(EXHAUSTED, None, f"time budget {limits.max_seconds}s reached")
+        if expanded == gate:
+            pairs = tables.get("pairs")
+            if pairs is None:
+                pairs = tables["pairs"] = _pairs(init, index)
+            if not _pairwise(goal, pairs):
+                return SearchResult(UNSOLVABLE)
         state = queue.popleft()
         expanded += 1
         keyed = state & keys
@@ -347,6 +403,71 @@ def _bfs(init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
                 return SearchResult(SOLVABLE, _reconstruct(parent, succ))
             queue.append(succ)
     return SearchResult(UNSOLVABLE)
+
+
+def _pairs(init: int, index) -> tuple[int, dict[int, int]]:
+    """The atom pairs that may hold together in a state reachable from
+    init over the ops of a successor index: (reached, partners).
+
+    reached holds every bit that may hold, and partners[b], for each b
+    in reached, every bit that may hold together with b, b included;
+    the pair set over-approximates the exact one, so a goal it rules
+    out is unreachable. An op counts once its precondition is pairwise
+    reachable, and so does a conditional effect whose condition is
+    pairwise reachable together with the precondition. An op's adds
+    then hold together with each other and with every bit that may
+    hold together with its precondition and is not deleted: a
+    conditional delete may not fire, so only the op's keep mask
+    deletes, and an add wins over a delete of the same bit.
+    """
+    always, _, buckets = index
+    ops = always + [op for bucket in buckets.values() for op in bucket]
+    reached = init
+    partners = {bit: init for bit in _bits(init)}
+    changed = True
+    while changed:
+        changed = False
+        for _, pre, keep, add, conds, _ in ops:
+            allowed = _together(pre, reached, partners)
+            if allowed & pre != pre:
+                continue
+            for cond, _, cond_add in conds:
+                both = pre | cond
+                if _together(both, reached, partners) & both == both:
+                    add |= cond_add
+            after = (allowed & keep) | add
+            reached |= add
+            for bit in _bits(add):
+                known = partners.get(bit, 0)
+                new = after & ~known
+                if not new:
+                    continue
+                changed = True
+                partners[bit] = known | new
+                for other in _bits(new & ~bit):
+                    partners[other] = partners.get(other, 0) | bit
+    return reached, partners
+
+
+def _together(mask: int, reached: int, partners: dict[int, int]) -> int:
+    """The bits of reached that may hold together with every bit of mask."""
+    out = reached
+    for bit in _bits(mask):
+        out &= partners.get(bit, 0)
+    return out
+
+
+def _pairwise(goal: int, pairs) -> bool:
+    """Whether every atom and pair of atoms of goal may hold together."""
+    reached, partners = pairs
+    return _together(goal, reached, partners) & goal == goal
+
+
+def _bits(mask: int):
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit
 
 
 def _reconstruct(parent, state) -> Plan:

@@ -30,6 +30,7 @@ from noplan.model import (
 )
 from noplan.search import (
     EXHAUSTED,
+    GATE,
     SOLVABLE,
     UNSOLVABLE,
     SearchLimits,
@@ -49,6 +50,10 @@ def decide_solvable_by_sets(m: PlanningModel, limits: SearchLimits | None = None
     The same relaxed early exit, action filter, successor order, goal
     test at generation and per-expansion budgets, but every state is a
     frozenset of fluent ids and every successor comes from apply_action.
+    A budget that trips after the search has passed the gate (GATE
+    states per action that can fire) first gets the pair check, from
+    reachable_pairs: where it rules the goal out the answer is
+    "unsolvable", as the search finds at the gate.
     """
     limits = limits or SearchLimits()
     if m.goal <= m.init:
@@ -61,11 +66,17 @@ def decide_solvable_by_sets(m: PlanningModel, limits: SearchLimits | None = None
     queue: deque[State] = deque([m.init])
     parent: dict[State, tuple[State, str] | None] = {m.init: None}
     expanded = 0
+
+    def exhausted(detail: str) -> SearchResult:
+        if expanded > GATE * len(actions) and not pairwise(reachable_pairs(m), m.goal):
+            return SearchResult(UNSOLVABLE)
+        return SearchResult(EXHAUSTED, None, detail)
+
     while queue:
         if expanded >= limits.max_nodes:
-            return SearchResult(EXHAUSTED, None, f"node budget {limits.max_nodes} reached")
+            return exhausted(f"node budget {limits.max_nodes} reached")
         if time.monotonic() > deadline:
-            return SearchResult(EXHAUSTED, None, f"time budget {limits.max_seconds}s reached")
+            return exhausted(f"time budget {limits.max_seconds}s reached")
         state = queue.popleft()
         expanded += 1
         for a in actions:
@@ -91,6 +102,46 @@ def _reconstruct(parent, state) -> Plan:
         cur, name = entry
         steps.append(name)
     return tuple(reversed(steps))
+
+
+def reachable_pairs(m: PlanningModel) -> set[frozenset[int]]:
+    """The fluent pairs (and, as one-element sets, fluents) that h^2
+    finds may hold together in a state reachable from init, with
+    conditional effects treated as search._pairs treats them.
+
+    An effect whose condition lies within the precondition counts as
+    unconditional. Any other adds once precondition and condition are
+    pairwise reachable, and never deletes. An action's adds then hold
+    with each other and with every fluent that may hold with its whole
+    precondition and is not deleted, unless it is added too.
+    """
+    pairs = {frozenset((p, q)) for p in m.init for q in m.init}
+    changed = True
+    while changed:
+        changed = False
+        for a in m.actions:
+            if not pairwise(pairs, a.prec):
+                continue
+            adds: set[int] = set()
+            dels: set[int] = set()
+            for e in a.effects:
+                if e.condition <= a.prec:
+                    adds |= e.adds
+                    dels |= e.dels
+                elif pairwise(pairs, a.prec | e.condition):
+                    adds |= e.adds
+            atoms = {p for pair in pairs for p in pair}
+            after = adds | {q for q in atoms - dels if pairwise(pairs, a.prec | {q})}
+            for p in adds:
+                for q in after:
+                    if frozenset((p, q)) not in pairs:
+                        pairs.add(frozenset((p, q)))
+                        changed = True
+    return pairs
+
+
+def pairwise(pairs: set[frozenset[int]], fluents) -> bool:
+    return all(frozenset((p, q)) in pairs for p in fluents for q in fluents)
 
 
 def enumerate_plans(m: PlanningModel, max_len: int, max_nodes: int = 2_000_000) -> set[Plan]:

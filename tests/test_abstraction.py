@@ -258,6 +258,25 @@ def test_complement_pairs_must_share_group():
     assert canon == {"p", "not-p"}
 
 
+@pytest.mark.parametrize("groups,message", [
+    ((("ps", ("p",)), ("nots", ("not-p",)), ("x", ("missing",))),
+     "groups ps and nots both contain p;"),
+    ((("x", ("missing",)), ("ps", ("p",)), ("nots", ("not-p",))), "group x matches no fluents"),
+    # a spec built in code may list a predicate twice, which loading rejects
+    ((("qs", ("q",)), ("more", ("q", "p"))), "groups qs and more both contain q"),
+])
+def test_resolve_groups_rejects_the_first_bad_group(groups, message):
+    from noplan.pddl import ground, parse_model
+
+    domain = """(define (domain d)
+  (:requirements :strips :negative-preconditions)
+  (:predicates (p) (q))
+  (:action a :parameters () :precondition (not (p)) :effect (q)))"""
+    m = ground(parse_model(domain, "(define (problem x) (:domain d) (:init) (:goal (q)))"))
+    with pytest.raises(LatticeSpecError, match=message):
+        resolve_groups(m, LatticeSpec(groups))
+
+
 # --- order preservation and inheritance ------------------------------------
 
 

@@ -300,6 +300,20 @@ def test_explain_dump_compiled(tmp_path, minirover, minirover_spec):
     assert reparsed.fluents
 
 
+def test_dump_writes_one_pair_per_member(tmp_path):
+    """Both members of the restricted lattice fail at the same landmark
+    id of their own graphs; each keeps its own pair of files."""
+    m, spec = _restricted_lattice_case()
+    e = explain(m, spec, dump_dir=str(tmp_path))
+    assert len(e.secondary) == 1
+    assert e.failed.landmark.id == e.secondary[0].landmark.id
+    subgoals = sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("subgoal-"))
+    stems = sorted({name.rsplit("-", 1)[0] for name in subgoals})
+    assert len(stems) == 2
+    assert subgoals == sorted(f"{stem}-{kind}.pddl" for stem in stems
+                              for kind in ("domain", "problem"))
+
+
 def test_explain_builds_each_artifact_once(tmp_path, monkeypatch, minirover, minirover_spec):
     """One update listing per explanation, no diff_models, and one
     landmark extraction per minimum-set member (the scan, the dump and

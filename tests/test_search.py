@@ -6,16 +6,30 @@ from hypothesis import strategies as st
 
 from noplan.abstraction import build_lattice
 from noplan.achievability import compile_achievability, final_goal_landmark
+from noplan.advice import compose, parse_advice
 from noplan.landmarks import extract_landmarks
 from noplan.model import Action, Effect, PlanningModel, validate_plan
-from noplan.search import SearchLimits, _live, compile_masks, decide_solvable
+from noplan.pddl import ground, parse_model
+from noplan.search import (
+    GATE,
+    SearchLimits,
+    _live,
+    _pairs,
+    _pairwise,
+    _relaxed,
+    compile_masks,
+    decide_solvable,
+    fluent_mask,
+    relaxed_reachable,
+)
 
-from .conftest import build_model, bundled_models, top_projection
+from .conftest import INSTANCES, build_model, bundled_models, top_projection
 from .oracles import (
     EnumerationBudgetError,
     decide_solvable_by_sets,
     enumerate_plans,
     project_by_rebuild,
+    reachable_pairs,
     reachable_states,
 )
 from .random_models import MicroConfig, random_model
@@ -248,3 +262,104 @@ def test_search_matches_set_search_on_random_models_with_keyed_ops():
         for goal in goals:
             _assert_search_matches_sets(shared.with_goal(goal))
         _assert_lattice_matches_rebuilt_projections(m, groups)
+
+
+# --- the pair check (h^2) --------------------------------------------------
+
+def _pair_pass(m):
+    """The fluent bits of m and the pair set _bfs would build for it, with no gate."""
+    bits, init, ops = compile_masks(m)
+    return bits, _pairs(init, _live(ops, _relaxed(init, ops), init))
+
+
+def _random_conditional_model(rng):
+    """A micro-model in which every action has a conditional effect."""
+    names = [f"f{i}" for i in range(rng.randint(3, 6))]
+
+    def some(lo, hi):
+        return rng.sample(names, rng.randint(lo, hi))
+
+    actions = []
+    for i in range(rng.randint(1, 4)):
+        adds = some(1, 2)
+        effects = [([], adds, [f for f in some(0, 2) if f not in adds])]
+        for _ in range(rng.randint(1, 2)):
+            cond_adds = some(0, 2)
+            effects.append((some(1, 2), cond_adds, [f for f in some(0, 2) if f not in cond_adds]))
+        actions.append((f"a{i}", some(0, 2), effects))
+    return build_model(names, actions, some(0, 3), some(1, 2))[0]
+
+
+def test_pair_pass_never_rejects_a_reachable_goal():
+    rng = random.Random(4711)
+    for _ in range(1500):
+        m = _random_conditional_model(rng)
+        bits, pairs = _pair_pass(m)
+        for state in reachable_states(m):
+            assert _pairwise(fluent_mask(bits, state), pairs)
+        if decide_solvable_by_sets(m).solvable:
+            assert _pairwise(fluent_mask(bits, m.goal), pairs)
+
+
+@given(micro_models())
+@settings(max_examples=150, deadline=None)
+def test_pair_pass_matches_set_pairs(m):
+    bits, (reached, partners) = _pair_pass(m)
+    assert reached == fluent_mask(bits, {f for pair in reachable_pairs(m) for f in pair})
+    found = {frozenset((f, g)) for f in m.fluents for g in m.fluents
+             if bits[g] & partners.get(bits[f], 0)}
+    assert found == reachable_pairs(m)
+
+
+@pytest.mark.parametrize("m,groups", [pytest.param(m, groups, id=label)
+                                        for label, m, groups in bundled_models()])
+def test_pair_pass_proves_every_bundled_unsolvable_search(m, groups):
+    top = top_projection(m, groups)
+    lg = extract_landmarks(top, check_solvable=False)
+    for level in (m, top):
+        shared, goals = _achievability_goals(level, lg)
+        for task in [level] + [shared.with_goal(goal) for goal in goals]:
+            if decide_solvable_by_sets(task).status == "unsolvable":
+                bits, pairs = _pair_pass(task)
+                assert not _pairwise(fluent_mask(bits, task.goal), pairs)
+
+
+def _blocks_advice():
+    """The bundled blocksworld task under its advice, never holding b,
+    with three more blocks on the table, so that breadth-first search
+    passes the gate; a fresh model, with no search tables yet.
+    """
+    base = INSTANCES / "blocksworld"
+    problem = (base / "problem.pddl").read_text()
+    problem = problem.replace("a b c - block", "a b c d e f - block")
+    problem = problem.replace("(handempty)", " ".join(f"(ontable {x}) (clear {x})" for x in "def")
+                              + " (handempty)")
+    m = ground(parse_model((base / "domain.pddl").read_text(), problem))
+    return compose(m, parse_advice((base / "advice.json").read_text(), m)).compiled
+
+
+def test_pair_check_answers_only_searches_that_reach_the_gate():
+    m = _blocks_advice()
+    bits, init, ops = compile_masks(m)
+    always, _, buckets = _live(ops, _relaxed(init, ops), init)
+    gate = GATE * (len(always) + sum(map(len, buckets.values())))
+    # breadth-first search alone needs more than gate + 1 expansions to
+    # prove this task unsolvable, and the relaxed exit cannot
+    assert len(reachable_states(m)) > gate + 1
+    assert m.goal <= relaxed_reachable(m)
+    below, above = SearchLimits(max_nodes=gate), SearchLimits(max_nodes=gate + 1)
+    assert decide_solvable(m, below).exhausted
+    assert decide_solvable(m, above).status == "unsolvable"
+    assert decide_solvable_by_sets(m, below).exhausted
+    assert decide_solvable_by_sets(m, above).status == "unsolvable"
+    assert "pairs" in m._search
+    # the stored pair set answers only a search whose budget passes the gate
+    assert decide_solvable(m, below).exhausted
+    assert decide_solvable(m, above).status == "unsolvable"
+    assert decide_solvable(m, SearchLimits(max_nodes=gate + 1, max_seconds=0)).status == "unsolvable"
+
+
+def test_time_budget_reports_exhausted():
+    result = decide_solvable(_blocks_advice(), SearchLimits(max_seconds=0))
+    assert result.exhausted
+    assert "time budget" in result.detail
