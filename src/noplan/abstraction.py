@@ -207,9 +207,11 @@ class AbstractionLattice:
         return out
 
     def maximal_projected_sets(self) -> list[frozenset[str]]:
-        sets = self.all_projected_sets()
+        # allowed sets are closed under subsets, so a set is maximal
+        # when adding any one more group forbids it
         return sorted(
-            (p for p in sets if not any(p < q for q in sets)),
+            (p for p in self.all_projected_sets()
+             if not any(self.allowed(p | {g}) for g in self.groups.keys() - p)),
             key=lambda p: tuple(sorted(p)),
         )
 

@@ -32,7 +32,7 @@ not enforced for that action and a warning is logged.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .errors import ModelError, ReservedNameError, ResourceExhaustedError
 from .landmarks import (
@@ -60,6 +60,8 @@ class FailedSubgoal:
     achieved_prefix: tuple[Landmark, ...]
     is_final_goal: bool = False
     level: object | None = None  # lattice node, attached by the pipeline
+    # the compilation found unsolvable, copied without the scan's search tables
+    compiled: PlanningModel | None = field(default=None, compare=False, repr=False)
 
 
 def _meta_ids(m: PlanningModel, lg: LandmarkGraph):
@@ -223,13 +225,16 @@ def first_unachievable(m: PlanningModel, lg: LandmarkGraph,
     achievable, the goal conjunction itself is tested and returned as a
     final-goal failure, which is guaranteed to trigger on an unsolvable
     model. The graph is compiled once; each step only swaps the goal.
+    The failing step's model, which equals compile_achievability of its
+    landmark on the extended graph, is returned as ``compiled``.
     """
     seq = linearize(lg)
     extended, pseudo = final_goal_landmark(m, lg)
     shared = compile_achievability(m, extended, pseudo)
     for i, lm in enumerate(seq + [pseudo]):
         goal = frozenset({shared.table.id_of(f"first-time-lm{lm.id}")})
-        result = decide_solvable(shared.with_goal(goal), limits)
+        step = shared.with_goal(goal)
+        result = decide_solvable(step, limits)
         if result.exhausted:
             raise ResourceExhaustedError(
                 f"achievability of landmark {lm.id}: {result.detail}"
@@ -239,9 +244,11 @@ def first_unachievable(m: PlanningModel, lg: LandmarkGraph,
                 landmark=lm,
                 achieved_prefix=tuple(seq[:i]),
                 is_final_goal=lm.id == pseudo.id,
+                compiled=replace(step),
             )
     # only reachable when conditional-effect interference makes the
     # tracking of the goal conjunction over-approximate; the model is
     # still unsolvable, so the goal itself is the unachievable subgoal
     logger.warning("achievability tracking over-approximated the goal conjunction")
-    return FailedSubgoal(landmark=pseudo, achieved_prefix=tuple(seq), is_final_goal=True)
+    return FailedSubgoal(landmark=pseudo, achieved_prefix=tuple(seq), is_final_goal=True,
+                         compiled=replace(step))

@@ -49,8 +49,8 @@ def _limits(args) -> SearchLimits:
     nodes = getattr(args, "node_budget", None)
     seconds = getattr(args, "time_budget", None)
     return SearchLimits(
-        max_nodes=10_000_000 if nodes is None else nodes,
-        max_seconds=300.0 if seconds is None else seconds,
+        max_nodes=SearchLimits.max_nodes if nodes is None else nodes,
+        max_seconds=SearchLimits.max_seconds if seconds is None else seconds,
     )
 
 

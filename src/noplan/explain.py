@@ -6,10 +6,12 @@ solvable maximal elements, search for the cheapest group set whose
 restoration breaks all of them, then extract landmarks one level up and
 scan for the first subgoal that the explanatory level can no longer
 achieve. Every non-degenerate explanation is self-verified before it is
-returned: fresh searches re-check each explanatory level and a fresh
-achievability compilation of the headline subgoal, built from the
-landmark graph and levels the scan used. The lattice decides its nodes
-on projections of the root's search masks, while verification searches
+returned: fresh searches re-check each explanatory level and the
+achievability compilation of the headline subgoal. That compilation is
+the one the scan proved unsolvable, handed over without the scan's
+search tables, so the check is a search of its own; it runs right after
+the headline member's scan. The lattice decides its nodes on
+projections of the root's search masks, while verification searches
 each explanatory level's model, projected from the root and compiled on
 its own, so the two decisions share no projection code.
 
@@ -27,6 +29,12 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .abstraction import (
+    ADD_EFFECT_LITERAL,
+    DEL_EFFECT_LITERAL,
+    EFFECT_CONDITION_LITERAL,
+    GOAL_LITERAL,
+    INIT_LITERAL,
+    PRECONDITION_LITERAL,
     AbstractionLattice,
     ExplanatorySet,
     LatticeNode,
@@ -37,7 +45,7 @@ from .abstraction import (
     minimum_abstraction_set,
     resolve_groups,
 )
-from .achievability import FailedSubgoal, compile_achievability, final_goal_landmark, first_unachievable
+from .achievability import FailedSubgoal, first_unachievable
 from .advice import ConstrainedModel, compose, parse_advice, strip_meta
 from .errors import ModelUnsolvableError, PipelineError, ResourceExhaustedError
 from .landmarks import Landmark, LandmarkGraph, extract_landmarks
@@ -48,6 +56,7 @@ from .model import (
     PlanningModel,
     ValidationTrace,
     format_formula,
+    formula_names,
     validate_plan,
 )
 from .pddl import write_domain, write_problem
@@ -124,21 +133,23 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
 
     failures: list[FailedSubgoal] = []
     targets: list[LatticeNode] = []
-    graphs: list[LandmarkGraph] = []
     for position, node in enumerate(members):
         graph = extract_landmarks(node.model, check_solvable=False, limits=limits)
         target = concretize(lat, node, explanatory.groups & node.projected)
         failed = first_unachievable(target.model, graph, limits)
-        failures.append(replace(failed, level=target))
-        targets.append(target)
-        graphs.append(graph)
         if dump_dir:
-            _dump(dump_dir, *_compile_failed(target.model, graph, failed, position))
+            _dump(dump_dir, f"subgoal-{position}-{failed.landmark.id}", failed.compiled)
+        if position == 0:
+            _verify_subgoal(failed, limits)
+        # hold no compilation past its member: verification filled its tables
+        failed = replace(failed, level=target, compiled=None)
+        failures.append(failed)
+        targets.append(target)
 
     headline = failures[0]
     exemplar_trace = _exemplar(lat, members[0], targets[0], headline, explanatory,
                                exemplar, limits)
-    _self_verify(members, targets, graphs[0], explanatory, headline, limits)
+    _self_verify(members, targets, explanatory, limits)
 
     return Explanation(
         STATUS_EXPLAINED,
@@ -157,14 +168,13 @@ def _explain_top_unsolvable(base: PlanningModel, cm: ConstrainedModel | None,
     top = lat.node(lat.maximal_projected_sets()[0])
     graph = _top_landmarks(base, cm, top, limits)
     failed = first_unachievable(top.model, graph, limits)
-    failed = replace(failed, level=top)
     if dump_dir:
-        _dump(dump_dir, *_compile_failed(top.model, graph, failed))
+        _dump(dump_dir, f"subgoal-0-{failed.landmark.id}", failed.compiled)
     return Explanation(
         STATUS_TOP_UNSOLVABLE,
         top.model.table,
         advice_applied=cm is not None,
-        failed=failed,
+        failed=replace(failed, level=top, compiled=None),
     )
 
 
@@ -240,13 +250,18 @@ def _complex_formula(formula: DnfFormula) -> bool:
     return len(formula.disjuncts) > 1 or any(len(d) > 3 for d in formula.disjuncts)
 
 
-def _self_verify(members, targets, graph: LandmarkGraph, explanatory: ExplanatorySet,
-                 headline: FailedSubgoal, limits: SearchLimits) -> None:
-    """Re-check the unsolvability claims behind the explanation with fresh searches.
+def _verify_subgoal(failed: FailedSubgoal, limits: SearchLimits) -> None:
+    """Re-check failed's subgoal with a fresh search, on tables of its own."""
+    fresh = decide_solvable(failed.compiled, limits)
+    if fresh.exhausted:
+        raise ResourceExhaustedError("self-verification of the failed subgoal")
+    if fresh.solvable and not failed.is_final_goal:
+        raise PipelineError("the reported failed subgoal is achievable after all")
 
-    targets are the members' explanatory levels and graph the first
-    member's landmark graph, as the scan used them.
-    """
+
+def _self_verify(members, targets, explanatory: ExplanatorySet, limits: SearchLimits) -> None:
+    """Re-check with fresh searches that the members' explanatory levels
+    (targets, as the scan used them) are unsolvable."""
     for node, target in zip(members, targets):
         fresh = decide_solvable(target.model, limits)
         if fresh.exhausted:
@@ -256,29 +271,11 @@ def _self_verify(members, targets, graph: LandmarkGraph, explanatory: Explanator
                 f"restoring {sorted(explanatory.groups)} left node "
                 f"{sorted(node.projected)} solvable"
             )
-    _, compiled = _compile_failed(headline.level.model, graph, headline)
-    fresh = decide_solvable(compiled, limits)
-    if fresh.exhausted:
-        raise ResourceExhaustedError("self-verification of the failed subgoal")
-    if fresh.solvable and not headline.is_final_goal:
-        raise PipelineError("the reported failed subgoal is achievable after all")
-
-
-def _compile_failed(level: PlanningModel, graph: LandmarkGraph, failed: FailedSubgoal,
-                    position: int = 0) -> tuple[str, PlanningModel]:
-    """The dump stem and the achievability compilation of failed's subgoal on level.
-
-    A failed final goal is compiled as the pseudo landmark that
-    final_goal_landmark adds for the goal conjunction. Landmark ids are
-    per graph, so the stem also names the position of the failed
-    subgoal's member in the minimum abstraction set.
-    """
-    extended, pseudo = final_goal_landmark(level, graph)
-    lm = pseudo if failed.is_final_goal else failed.landmark
-    return f"subgoal-{position}-{lm.id}", compile_achievability(level, extended, lm)
 
 
 def _dump(directory: str, stem: str, model: PlanningModel) -> None:
+    # a failed subgoal's stem is subgoal-<member position>-<landmark id>,
+    # since landmark ids are per graph
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, f"{stem}-domain.pddl"), "w") as fh:
         fh.write(write_domain(model, stem))
@@ -292,16 +289,12 @@ def _dump(directory: str, stem: str, model: PlanningModel) -> None:
 # Rendering
 
 
-def _formula_names(table: FluentTable, formula: DnfFormula) -> list[list[str]]:
-    return [[table.canonical(f) for f in d] for d in formula.sorted_disjuncts()]
-
-
 def _failed_dict(table: FluentTable, failed: FailedSubgoal) -> dict:
     level = failed.level
     return {
-        "formula": _formula_names(table, failed.landmark.formula),
+        "formula": formula_names(table, failed.landmark.formula),
         "final_goal": failed.is_final_goal,
-        "prefix": [_formula_names(table, lm.formula) for lm in failed.achieved_prefix],
+        "prefix": [formula_names(table, lm.formula) for lm in failed.achieved_prefix],
         "level": {"projected": sorted(level.projected) if level is not None else []},
     }
 
@@ -421,15 +414,6 @@ def _render_human(e: Explanation) -> str:
 
 
 def _update_lines(table: FluentTable, updates) -> list[str]:
-    from .abstraction import (
-        ADD_EFFECT_LITERAL,
-        DEL_EFFECT_LITERAL,
-        EFFECT_CONDITION_LITERAL,
-        GOAL_LITERAL,
-        INIT_LITERAL,
-        PRECONDITION_LITERAL,
-    )
-
     verbs = {
         PRECONDITION_LITERAL: "requires",
         EFFECT_CONDITION_LITERAL: "has effect condition",

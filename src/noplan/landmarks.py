@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .errors import CycleError, ModelUnsolvableError, ResourceExhaustedError
-from .model import DnfFormula, PlanningModel, format_formula, holds
+from .model import DnfFormula, PlanningModel, format_formula, formula_names, holds
 from .search import SearchLimits, decide_solvable, relaxed_reachable
 
 NATURAL = "nat"
@@ -270,8 +270,7 @@ def graph_to_json(m: PlanningModel, g: LandmarkGraph) -> dict:
         "landmarks": [
             {
                 "id": lm.id,
-                "formula": [[m.table.canonical(f) for f in d]
-                            for d in lm.formula.sorted_disjuncts()],
+                "formula": formula_names(m.table, lm.formula),
                 "text": format_formula(m.table, lm.formula),
                 "goal_conjunct": lm.is_goal_conjunct,
                 "holds_in_init": lm.holds_in_init,

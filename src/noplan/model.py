@@ -455,6 +455,11 @@ def holds(state: State, formula: DnfFormula) -> bool:
     return any(d <= state for d in formula.disjuncts)
 
 
+def formula_names(table: FluentTable, formula: DnfFormula) -> list[list[str]]:
+    """The formula's disjuncts in sorted order, as lists of canonical fluent names."""
+    return [[table.canonical(f) for f in d] for d in formula.sorted_disjuncts()]
+
+
 def format_formula(table: FluentTable, formula: DnfFormula) -> str:
     """Readable rendering: 'a and b or c' with canonical fluent names."""
     if formula.is_false:

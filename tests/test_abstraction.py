@@ -219,6 +219,26 @@ def test_forbidden_combinations_create_multiple_maxima(minirover):
     assert expl.groups == frozenset({"rocks"})
 
 
+@st.composite
+def forbidding_lattices(draw):
+    """Lattices of up to 10 one-fluent groups and a few forbidden combinations."""
+    names = [f"g{i}" for i in range(draw(st.integers(0, 10)))]
+    m, ids = build_model(names, [], [], [])
+    forbidden = []
+    if names:
+        forbidden = draw(st.lists(st.sets(st.sampled_from(names), min_size=1), max_size=4))
+    return AbstractionLattice(m, [FluentGroup(n, frozenset({ids[n]})) for n in names], forbidden)
+
+
+@given(forbidding_lattices())
+@settings(max_examples=60, deadline=None)
+def test_maximal_projected_sets_match_pairwise_definition(lat):
+    sets = lat.all_projected_sets()
+    pairwise = sorted((p for p in sets if not any(p < q for q in sets)),
+                      key=lambda p: tuple(sorted(p)))
+    assert lat.maximal_projected_sets() == pairwise
+
+
 def test_lattice_spec_loading(minirover):
     spec = load_lattice_spec(
         '{"groups": [{"name": "rocks", "predicates": ["clear"]},'

@@ -279,6 +279,8 @@ def _check_shared_compile(m):
     seq = linearize(g)
     failed = first_unachievable(m, g)
     assert failed == _scan_per_landmark(m, extended, seq, pseudo)
+    assert failed.compiled == compile_achievability(m, extended, failed.landmark)
+    assert failed.compiled._search == {}
     return failed, seq
 
 

@@ -1,9 +1,10 @@
 import importlib
 import json
+import sys
 
 import pytest
 
-from noplan import abstraction
+from noplan import abstraction, achievability, landmarks
 from noplan.abstraction import LatticeSpec, build_lattice, minimum_abstraction_set
 from noplan.errors import ModelUnsolvableError, ResourceExhaustedError
 from noplan.explain import (
@@ -16,6 +17,7 @@ from noplan.explain import (
     explain,
     render,
 )
+from noplan.pddl import ground, parse_model
 from noplan.search import SearchLimits, decide_solvable
 
 from .conftest import build_model, minirover_groups
@@ -58,6 +60,23 @@ def test_explain_advice_collapse_reports_blocked_subgoal(norocks):
     assert e.advice_applied
     assert _names(norocks, e.failed) == {"at_l2"}
     assert e.explanatory is None
+
+
+def test_dump_compiled_when_advice_collapses_the_top(tmp_path, norocks):
+    """The unsolvable-at-top path writes the constrained model and the
+    failed subgoal's compilation, and both parse back."""
+    advice = json.dumps([{"template": "never-use-action", "action": "move_l1_l2"}])
+    spec = LatticeSpec((("conn", ("conn",)),))
+    e = explain(norocks, spec, advice, dump_dir=str(tmp_path))
+    assert e.status == STATUS_TOP_UNSOLVABLE
+    assert e.failed.compiled is None
+    stems = ["constrained", f"subgoal-0-{e.failed.landmark.id}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{stem}-{kind}.pddl" for stem in stems for kind in ("domain", "problem"))
+    for stem in stems:
+        dom = (tmp_path / f"{stem}-domain.pddl").read_text()
+        prob = (tmp_path / f"{stem}-problem.pddl").read_text()
+        assert ground(parse_model(dom, prob)).fluents
 
 
 def test_explain_advice_with_surviving_abstraction(minirover, minirover_spec):
@@ -291,7 +310,6 @@ def test_explain_dump_compiled(tmp_path, minirover, minirover_spec):
     files = sorted(p.name for p in out.iterdir())
     assert any(name.startswith("subgoal-") and name.endswith("-domain.pddl")
                for name in files)
-    from noplan.pddl import ground, parse_model
 
     stem = files[0].rsplit("-domain.pddl")[0].rsplit("-problem.pddl")[0]
     dom = (out / f"{stem}-domain.pddl").read_text()
@@ -316,9 +334,10 @@ def test_dump_writes_one_pair_per_member(tmp_path):
 
 def test_explain_builds_each_artifact_once(tmp_path, monkeypatch, minirover, minirover_spec):
     """One update listing per explanation, no diff_models, and one
-    landmark extraction per minimum-set member (the scan, the dump and
-    self-verification share it)."""
-    calls = {"extract_landmarks": 0, "_updates_for_fluents": 0, "diff_models": 0}
+    landmark extraction and one achievability compilation per minimum-set
+    member (the scan, the dump and self-verification share them)."""
+    calls = {"extract_landmarks": 0, "_updates_for_fluents": 0, "diff_models": 0,
+             "compile_achievability": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -327,16 +346,50 @@ def test_explain_builds_each_artifact_once(tmp_path, monkeypatch, minirover, min
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        # every module that imported the function calls it by its own name
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("noplan.") and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
 
-    # the package re-exports the function explain under the module's name
-    count(importlib.import_module("noplan.explain"), "extract_landmarks")
+    count(landmarks, "extract_landmarks")
     count(abstraction, "_updates_for_fluents")
     count(abstraction, "diff_models")
+    count(achievability, "compile_achievability")
     for i, (m, spec) in enumerate([(minirover, minirover_spec), _restricted_lattice_case()]):
         for key in calls:
             calls[key] = 0
         e = explain(m, spec, dump_dir=str(tmp_path / str(i)))
         assert e.status == STATUS_EXPLAINED
-        assert calls == {"extract_landmarks": 1 + len(e.secondary),
-                         "_updates_for_fluents": 1, "diff_models": 0}
+        members = 1 + len(e.secondary)
+        assert calls == {"extract_landmarks": members, "_updates_for_fluents": 1,
+                         "diff_models": 0, "compile_achievability": members}
+        assert e.failed.compiled is None
+        assert all(f.compiled is None for f in e.secondary)
+
+
+def test_subgoal_verification_searches_a_fresh_copy(monkeypatch, minirover, minirover_spec):
+    """Self-verification of the headline subgoal searches a model equal to
+    the one the scan found unsolvable, but not that object, and with none
+    of the scan's search tables."""
+    original = achievability.decide_solvable
+    scans, verifies = [], []
+
+    def scan(model, limits=None):
+        result = original(model, limits)
+        scans.append((model, result))
+        return result
+
+    def search(model, limits=None):
+        verifies.append((model, bool(model._search)))
+        return original(model, limits)
+
+    monkeypatch.setattr(achievability, "decide_solvable", scan)
+    monkeypatch.setattr(importlib.import_module("noplan.explain"), "decide_solvable", search)
+    e = explain(minirover, minirover_spec)
+    assert e.status == STATUS_EXPLAINED
+    scanned = next(model for model, result in scans if not result.solvable)
+    assert scanned._search
+    compiled = [(model, tables) for model, tables in verifies if model == scanned]
+    assert len(compiled) == 1
+    model, tables = compiled[0]
+    assert model is not scanned and not tables
