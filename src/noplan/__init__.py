@@ -18,7 +18,6 @@ from .abstraction import (
     ModelUpdate,
     build_lattice,
     concretize,
-    diff_models,
     find_explanatory_fluents,
     load_lattice_spec,
     minimum_abstraction_set,

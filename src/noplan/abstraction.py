@@ -33,8 +33,6 @@ from .errors import (
     LatticeError,
     LatticeSpecError,
     ModelError,
-    ProjectionRelationError,
-    ResourceExhaustedError,
     RootSolvableError,
     UnsolvableEverywhereError,
 )
@@ -45,6 +43,7 @@ from .search import (
     SearchResult,
     compile_masks,
     decide_masks,
+    decided,
     fluent_mask,
     project_ops,
     replays,
@@ -252,10 +251,8 @@ class AbstractionLattice:
         return node.solvable
 
     def decided_solvable(self, node: LatticeNode, stage: str) -> bool:
-        result = self.solvability(node)
-        if result.exhausted:
-            raise ResourceExhaustedError(f"{stage} at node {sorted(node.projected)}")
-        return result.solvable
+        stage = f"{stage} at node {sorted(node.projected)}"
+        return decided(self.solvability(node), stage).solvable
 
 
 def build_lattice(m: PlanningModel, groups, forbidden=(),
@@ -301,14 +298,6 @@ def _updates_for_fluents(m: PlanningModel, fluents: frozenset[int]) -> list[Mode
     return sorted(ups, key=ModelUpdate.sort_key)
 
 
-def diff_models(abs_m: PlanningModel, conc_m: PlanningModel) -> list[ModelUpdate]:
-    """One update per occurrence of a projected fluent in the concrete model."""
-    restored = conc_m.fluents - abs_m.fluents
-    if abs_m.fluents - conc_m.fluents or project_model(conc_m, restored) != abs_m:
-        raise ProjectionRelationError("models are not in a projection relation")
-    return _updates_for_fluents(conc_m, restored)
-
-
 def find_explanatory_fluents(lat: AbstractionLattice,
                              minimum: list[LatticeNode] | None = None) -> ExplanatorySet:
     """Cheapest group set whose restoration breaks every minimum-set member.
@@ -321,8 +310,8 @@ def find_explanatory_fluents(lat: AbstractionLattice,
     Projection removes fluents but keeps every action, effect and action
     name, so a restored fluent occurs in a concretization exactly where
     it occurs in the root. A set's updates are therefore the union of
-    its groups' lists from one pass over the root, the same updates that
-    ``diff_models`` lists for each member and its concretization.
+    its groups' lists from one pass over the root, the same updates as
+    one listing per member of the fluents its concretization restores.
     """
     members = minimum_abstraction_set(lat) if minimum is None else minimum
     if not members:

@@ -32,9 +32,9 @@ not enforced for that action and a warning is logged.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .errors import ModelError, ReservedNameError, ResourceExhaustedError
+from .errors import ModelError, ReservedNameError
 from .landmarks import (
     GREEDY_NECESSARY,
     Landmark,
@@ -45,7 +45,7 @@ from .landmarks import (
     linearize,
 )
 from .model import Action, DnfFormula, Effect, PlanningModel, holds
-from .search import SearchLimits, decide_solvable
+from .search import SearchLimits, decide_solvable, decided
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +60,7 @@ class FailedSubgoal:
     achieved_prefix: tuple[Landmark, ...]
     is_final_goal: bool = False
     level: object | None = None  # lattice node, attached by the pipeline
-    # the compilation found unsolvable, copied without the scan's search tables
+    # the compilation found unsolvable
     compiled: PlanningModel | None = field(default=None, compare=False, repr=False)
 
 
@@ -224,31 +224,31 @@ def first_unachievable(m: PlanningModel, lg: LandmarkGraph,
     The model must be unsolvable. When every extracted landmark is still
     achievable, the goal conjunction itself is tested and returned as a
     final-goal failure, which is guaranteed to trigger on an unsolvable
-    model. The graph is compiled once; each step only swaps the goal.
-    The failing step's model, which equals compile_achievability of its
-    landmark on the extended graph, is returned as ``compiled``.
+    model. The graph is compiled once; each step only swaps the goal,
+    and every step searches on one set of search tables, which do not
+    depend on the goal. The failing step's model, which equals
+    compile_achievability of its landmark on the extended graph, is
+    returned as ``compiled``.
     """
     seq = linearize(lg)
     extended, pseudo = final_goal_landmark(m, lg)
     shared = compile_achievability(m, extended, pseudo)
+    tables: dict = {}
     for i, lm in enumerate(seq + [pseudo]):
         goal = frozenset({shared.table.id_of(f"first-time-lm{lm.id}")})
         step = shared.with_goal(goal)
-        result = decide_solvable(step, limits)
-        if result.exhausted:
-            raise ResourceExhaustedError(
-                f"achievability of landmark {lm.id}: {result.detail}"
-            )
+        result = decided(decide_solvable(step, limits, tables),
+                         f"achievability of landmark {lm.id}")
         if not result.solvable:
             return FailedSubgoal(
                 landmark=lm,
                 achieved_prefix=tuple(seq[:i]),
                 is_final_goal=lm.id == pseudo.id,
-                compiled=replace(step),
+                compiled=step,
             )
     # only reachable when conditional-effect interference makes the
     # tracking of the goal conjunction over-approximate; the model is
     # still unsolvable, so the goal itself is the unachievable subgoal
     logger.warning("achievability tracking over-approximated the goal conjunction")
     return FailedSubgoal(landmark=pseudo, achieved_prefix=tuple(seq), is_final_goal=True,
-                         compiled=replace(step))
+                         compiled=step)

@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .abstraction import build_lattice, load_lattice_spec, resolve_groups
 from .advice import compose, parse_advice, strip_meta
-from .errors import InputError, ModelUnsolvableError, ResourceExhaustedError
+from .errors import InputError, ResourceExhaustedError
 from .explain import (
     EXEMPLAR_AUTO,
     STATUS_SOLVABLE,
@@ -24,7 +24,7 @@ from .explain import (
 )
 from .landmarks import extract_landmarks, graph_to_json
 from .pddl import ground, parse_model, write_domain, write_problem
-from .search import SearchLimits, decide_solvable
+from .search import SearchLimits, decide_solvable, decided
 
 EXIT_OK = 0
 EXIT_SOLVABLE = 1
@@ -75,19 +75,12 @@ def cmd_explain(args) -> int:
 
 def cmd_check(args) -> int:
     m = _load_model(args)
-    stripped = None
-    if args.advice:
-        cm = compose(m, parse_advice(_read(args.advice), m))
-        result = decide_solvable(cm.compiled, _limits(args))
-        if result.solvable:
-            stripped = strip_meta(cm, result.plan)
-    else:
-        result = decide_solvable(m, _limits(args))
-        stripped = result.plan
-    if result.exhausted:
-        raise ResourceExhaustedError(result.detail or "solvability check")
+    cm = compose(m, parse_advice(_read(args.advice), m)) if args.advice else None
+    result = decided(decide_solvable(cm.compiled if cm else m, _limits(args)),
+                     "solvability of the concrete model")
     if result.solvable:
-        steps = ", ".join(stripped) if stripped else "(empty plan)"
+        plan = strip_meta(cm, result.plan) if cm else result.plan
+        steps = ", ".join(plan) if plan else "(empty plan)"
         print(f"solvable: {steps}")
     else:
         print("unsolvable")
@@ -96,13 +89,13 @@ def cmd_check(args) -> int:
 
 def cmd_landmarks(args) -> int:
     m = _load_model(args)
-    try:
-        graph = extract_landmarks(m, limits=_limits(args))
-    except ModelUnsolvableError:
+    result = decided(decide_solvable(m, _limits(args)),
+                     "solvability check before landmark extraction")
+    if not result.solvable:
         print("the problem is unsolvable; landmarks are extracted from solvable models",
               file=sys.stderr)
         return EXIT_SOLVABLE
-    print(json.dumps(graph_to_json(m, graph), indent=2))
+    print(json.dumps(graph_to_json(m, extract_landmarks(m)), indent=2))
     return EXIT_OK
 
 

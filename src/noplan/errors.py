@@ -72,10 +72,6 @@ class ModelUnsolvableError(NoplanError):
     """An operation that needs a solvable model received an unsolvable one."""
 
 
-class ProjectionRelationError(NoplanError):
-    """Two models handed to diff_models are not in a projection relation."""
-
-
 class LatticeError(NoplanError):
     """Invalid lattice addressing (unknown group, forbidden combination)."""
 

@@ -7,13 +7,13 @@ restoration breaks all of them, then extract landmarks one level up and
 scan for the first subgoal that the explanatory level can no longer
 achieve. Every non-degenerate explanation is self-verified before it is
 returned: fresh searches re-check each explanatory level and the
-achievability compilation of the headline subgoal. That compilation is
-the one the scan proved unsolvable, handed over without the scan's
-search tables, so the check is a search of its own; it runs right after
-the headline member's scan. The lattice decides its nodes on
-projections of the root's search masks, while verification searches
-each explanatory level's model, projected from the root and compiled on
-its own, so the two decisions share no projection code.
+achievability compilation of the headline subgoal. Each builds its own
+search tables, so none answers from a table of the search whose claim
+it checks. The subgoal check searches the compilation the scan proved
+unsolvable, right after the headline member's scan. The lattice decides
+its nodes on projections of the root's search masks, while verification
+searches each explanatory level's model, projected from the root and
+compiled on its own, so the two decisions share no projection code.
 
 Degenerate cases: a solvable effective model yields a "solvable" report
 with a plan; a lattice whose top is already unsolvable yields an
@@ -47,7 +47,7 @@ from .abstraction import (
 )
 from .achievability import FailedSubgoal, first_unachievable
 from .advice import ConstrainedModel, compose, parse_advice, strip_meta
-from .errors import ModelUnsolvableError, PipelineError, ResourceExhaustedError
+from .errors import ModelUnsolvableError, PipelineError
 from .landmarks import Landmark, LandmarkGraph, extract_landmarks
 from .model import (
     DnfFormula,
@@ -60,7 +60,7 @@ from .model import (
     validate_plan,
 )
 from .pddl import write_domain, write_problem
-from .search import SearchLimits, decide_solvable
+from .search import SearchLimits, decide_solvable, decided
 
 STATUS_EXPLAINED = "explained"
 STATUS_SOLVABLE = "solvable"
@@ -113,9 +113,8 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
         if dump_dir:
             _dump(dump_dir, "constrained", effective)
 
-    root_result = decide_solvable(effective, limits)
-    if root_result.exhausted:
-        raise ResourceExhaustedError(f"solvability of the concrete model: {root_result.detail}")
+    root_result = decided(decide_solvable(effective, limits),
+                          "solvability of the concrete model")
     if root_result.solvable:
         plan = strip_meta(cm, root_result.plan) if cm else root_result.plan
         return Explanation(STATUS_SOLVABLE, effective.table,
@@ -134,14 +133,14 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
     failures: list[FailedSubgoal] = []
     targets: list[LatticeNode] = []
     for position, node in enumerate(members):
-        graph = extract_landmarks(node.model, check_solvable=False, limits=limits)
+        graph = extract_landmarks(node.model)
         target = concretize(lat, node, explanatory.groups & node.projected)
         failed = first_unachievable(target.model, graph, limits)
         if dump_dir:
             _dump(dump_dir, f"subgoal-{position}-{failed.landmark.id}", failed.compiled)
         if position == 0:
             _verify_subgoal(failed, limits)
-        # hold no compilation past its member: verification filled its tables
+        # hold no compilation past its member
         failed = replace(failed, level=target, compiled=None)
         failures.append(failed)
         targets.append(target)
@@ -188,12 +187,10 @@ def _top_landmarks(base: PlanningModel, cm: ConstrainedModel | None,
     scanned directly.
     """
     if cm is not None:
-        result = decide_solvable(base, limits)
-        if result.exhausted:
-            raise ResourceExhaustedError(
-                f"solvability of the model without advice: {result.detail}")
+        result = decided(decide_solvable(base, limits),
+                         "solvability of the model without advice")
         if result.solvable:
-            graph = extract_landmarks(base, check_solvable=False, limits=limits)
+            graph = extract_landmarks(base)
             keep = [lm for lm in graph.landmarks
                     if lm.formula.fluents <= top.model.fluents]
             ids = {lm.id for lm in keep}
@@ -217,9 +214,8 @@ def exemplar_failure(abs_node: LatticeNode, conc: PlanningModel,
     The returned trace carries the first failing step and its missing
     preconditions, narrowed to restrict_to when that keeps any.
     """
-    result = abs_node.solvable or decide_solvable(abs_node.model, limits)
-    if result.exhausted:
-        raise ResourceExhaustedError("exemplar plan search")
+    result = decided(abs_node.solvable or decide_solvable(abs_node.model, limits),
+                     "exemplar plan search")
     if not result.solvable:
         raise ModelUnsolvableError("exemplar needs a solvable abstraction")
     trace = validate_plan(conc, result.plan)
@@ -251,10 +247,9 @@ def _complex_formula(formula: DnfFormula) -> bool:
 
 
 def _verify_subgoal(failed: FailedSubgoal, limits: SearchLimits) -> None:
-    """Re-check failed's subgoal with a fresh search, on tables of its own."""
-    fresh = decide_solvable(failed.compiled, limits)
-    if fresh.exhausted:
-        raise ResourceExhaustedError("self-verification of the failed subgoal")
+    """Re-check failed's subgoal with a fresh search."""
+    fresh = decided(decide_solvable(failed.compiled, limits),
+                    "self-verification of the failed subgoal")
     if fresh.solvable and not failed.is_final_goal:
         raise PipelineError("the reported failed subgoal is achievable after all")
 
@@ -263,9 +258,8 @@ def _self_verify(members, targets, explanatory: ExplanatorySet, limits: SearchLi
     """Re-check with fresh searches that the members' explanatory levels
     (targets, as the scan used them) are unsolvable."""
     for node, target in zip(members, targets):
-        fresh = decide_solvable(target.model, limits)
-        if fresh.exhausted:
-            raise ResourceExhaustedError("self-verification of the explanatory level")
+        fresh = decided(decide_solvable(target.model, limits),
+                        "self-verification of the explanatory level")
         if fresh.solvable:
             raise PipelineError(
                 f"restoring {sorted(explanatory.groups)} left node "

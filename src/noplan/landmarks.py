@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .errors import CycleError, ModelUnsolvableError, ResourceExhaustedError
+from .errors import CycleError
 from .model import DnfFormula, PlanningModel, format_formula, formula_names, holds
-from .search import SearchLimits, decide_solvable, relaxed_reachable
+from .search import relaxed_reachable
 
 NATURAL = "nat"
 NECESSARY = "nec"
@@ -103,21 +103,11 @@ class LandmarkGraph:
         return any(x.id == lm.id and x.formula == lm.formula for x in self.landmarks)
 
 
-def extract_landmarks(m: PlanningModel, *, check_solvable: bool = True,
-                      limits: SearchLimits | None = None) -> LandmarkGraph:
+def extract_landmarks(m: PlanningModel) -> LandmarkGraph:
     """Extract a sound landmark graph from a solvable model.
 
-    With check_solvable, an unsolvable model raises ModelUnsolvableError
-    and a search that exhausts its limits raises ResourceExhaustedError.
+    Solvability is the caller's to establish: m is not searched here.
     """
-    if check_solvable:
-        result = decide_solvable(m, limits)
-        if result.exhausted:
-            raise ResourceExhaustedError(
-                f"solvability check before landmark extraction: {result.detail}")
-        if not result.solvable:
-            raise ModelUnsolvableError("landmark extraction needs a solvable model")
-
     static = _static_fluents(m)
     landmarks: list[Landmark] = []
     by_formula: dict[frozenset, Landmark] = {}

@@ -91,9 +91,6 @@ class FluentTable:
     def sexpr(self, fid: int) -> str:
         return self._fluents[fid].sexpr
 
-    def fluents(self) -> tuple[Fluent, ...]:
-        return tuple(self._fluents)
-
     def register_complement(self, pos: int, neg: int) -> None:
         self._complement[pos] = neg
         self._complement[neg] = pos
@@ -199,9 +196,6 @@ class PlanningModel:
     init: frozenset[int]
     goal: frozenset[int]
     _by_name: dict = field(init=False, repr=False, compare=False, default=None)
-    # search tables, filled in by decide_solvable (see search.py); a
-    # with_goal copy shares this dict with the model it was made from
-    _search: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.init <= self.fluents:
@@ -219,15 +213,13 @@ class PlanningModel:
                 raise ModelError(f"action {a.name} mentions fluents outside the model")
             by_name[a.name] = a
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_search", {})
 
     def with_goal(self, goal) -> "PlanningModel":
         """This model with only the goal replaced.
 
         The copy shares table, fluents, actions, init and the action
         index, which were validated when this model was built, so only
-        the new goal needs checking. It also shares the search tables,
-        which do not depend on the goal.
+        the new goal needs checking.
         """
         goal = frozenset(goal)
         if not goal <= self.fluents:
@@ -243,8 +235,7 @@ class PlanningModel:
         rebuilt. Removing fluents from a validated model cannot create an
         out-of-scope fluent, a duplicate action name or an add/delete
         overlap, so the copy skips validation; the action index is
-        rebuilt over the new action objects, and the search tables are
-        left to be compiled for the new model.
+        rebuilt over the new action objects.
         """
         actions = tuple(_action_without(a, gone) for a in self.actions)
         other = copy.copy(self)
@@ -253,7 +244,6 @@ class PlanningModel:
         object.__setattr__(other, "init", self.init - gone)
         object.__setattr__(other, "goal", self.goal - gone)
         object.__setattr__(other, "_by_name", {a.name: a for a in actions})
-        object.__setattr__(other, "_search", {})
         return other
 
     def action(self, name: str) -> Action:

@@ -33,6 +33,9 @@ _TOKEN_RE = re.compile(r"\(|\)|[^\s();]+")
 
 REQUIREMENTS = {":strips", ":typing", ":negative-preconditions", ":conditional-effects"}
 
+# the deepest nesting of parentheses the reader accepts
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Tok:
@@ -52,31 +55,24 @@ def _tokenize(text: str) -> list[Tok]:
 
 def _read_sexprs(text: str):
     """Parse every top-level s-expression in text into nested lists of Tok."""
-    toks = _tokenize(text)
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(toks):
-            raise PddlError("unexpected end of input")
-        tok = toks[pos]
-        pos += 1
+    forms: list = []
+    # each open parenthesis with the items read inside it so far
+    stack: list[tuple[Tok, list]] = []
+    for tok in _tokenize(text):
         if tok.text == "(":
-            items = []
-            while True:
-                if pos >= len(toks):
-                    raise PddlError("unbalanced parenthesis", tok.line, tok.col)
-                if toks[pos].text == ")":
-                    pos += 1
-                    return items
-                items.append(read())
+            if len(stack) == MAX_DEPTH:
+                raise PddlError(f"parentheses nested deeper than {MAX_DEPTH}", tok.line, tok.col)
+            stack.append((tok, []))
+            continue
+        item = tok
         if tok.text == ")":
-            raise PddlError("unexpected ')'", tok.line, tok.col)
-        return tok
-
-    forms = []
-    while pos < len(toks):
-        forms.append(read())
+            if not stack:
+                raise PddlError("unexpected ')'", tok.line, tok.col)
+            item = stack.pop()[1]
+        (stack[-1][1] if stack else forms).append(item)
+    if stack:
+        opening = stack[-1][0]
+        raise PddlError("unbalanced parenthesis", opening.line, opening.col)
     return forms
 
 
@@ -208,17 +204,17 @@ def _parse_literals(form, predicates, *, allow_vars: bool, allow_neg: bool, what
     """Flatten atom | (not atom) | (and ...) into (positives, negatives)."""
     pos: list[LiftedAtom] = []
     neg: list[LiftedAtom] = []
-
-    def walk(f):
+    todo = [form]
+    while todo:
+        f = todo.pop()
         if isinstance(f, Tok):
             raise _err(f, f"expected a parenthesized {what}")
         if not f:
-            return  # (and) and () are empty conjunctions
+            continue  # (and) and () are empty conjunctions
         head = _name(f[0], what)
         kw = head.text.lower()
         if kw == "and":
-            for sub in f[1:]:
-                walk(sub)
+            todo.extend(reversed(f[1:]))
         elif kw == "not":
             if not allow_neg:
                 raise _err(head, f"negation not allowed in {what}")
@@ -229,8 +225,6 @@ def _parse_literals(form, predicates, *, allow_vars: bool, allow_neg: bool, what
             raise _err(head, f"unsupported construct {kw} in {what}")
         else:
             pos.append(_parse_atom(f, predicates, allow_vars=allow_vars))
-
-    walk(form)
     return tuple(pos), tuple(neg)
 
 
@@ -242,18 +236,19 @@ def _parse_effect(form, predicates) -> list[SchemaEffect]:
     """
     plain_adds: list[LiftedAtom] = []
     plain_dels: list[LiftedAtom] = []
-    conditional: list[SchemaEffect] = []
-
-    def walk(f, adds, dels, top: bool):
+    conditional: list[tuple] = []
+    # (form, adds, dels, top), popped in the order of the text
+    todo = [(form, plain_adds, plain_dels, True)]
+    while todo:
+        f, adds, dels, top = todo.pop()
         if isinstance(f, Tok):
             raise _err(f, "expected a parenthesized effect")
         if not f:
-            return
+            continue
         head = _name(f[0], "effect")
         kw = head.text.lower()
         if kw == "and":
-            for sub in f[1:]:
-                walk(sub, adds, dels, top)
+            todo.extend((sub, adds, dels, top) for sub in reversed(f[1:]))
         elif kw == "not":
             if len(f) != 2:
                 raise _err(head, "(not ...) takes exactly one atom")
@@ -268,16 +263,16 @@ def _parse_effect(form, predicates) -> list[SchemaEffect]:
             )
             when_adds: list[LiftedAtom] = []
             when_dels: list[LiftedAtom] = []
-            walk(f[2], when_adds, when_dels, False)
-            conditional.append(SchemaEffect(cond, tuple(when_adds), tuple(when_dels)))
+            conditional.append((cond, when_adds, when_dels))
+            todo.append((f[2], when_adds, when_dels, False))
         else:
             adds.append(_parse_atom(f, predicates, allow_vars=True))
 
-    walk(form, plain_adds, plain_dels, True)
     effects = []
     if plain_adds or plain_dels or not conditional:
         effects.append(SchemaEffect((), tuple(plain_adds), tuple(plain_dels)))
-    effects.extend(conditional)
+    effects.extend(SchemaEffect(cond, tuple(adds), tuple(dels))
+                   for cond, adds, dels in conditional)
     return effects
 
 
@@ -455,7 +450,6 @@ def _check_ground_atoms(lifted: LiftedModel) -> None:
                         f"type {t} of predicate {atom.pred} in {where}"
                     )
     for schema in lifted.schemas:
-        param_types = dict(schema.params)
         for atom in itertools.chain(
             schema.pos_pre, schema.neg_pre,
             *((e.condition + e.adds + e.dels) for e in schema.effects),

@@ -29,12 +29,13 @@ model's masks. It first checks the relaxed-reachable fluent set itself,
 so a goal outside it is answered before any mask is compiled, and then
 compiles only the actions and effects inside the set. The set, the
 masks and decide_masks' own tables (its relaxed bits, successor index
-and pair set) are kept in the model's ``_search`` dict. None depends on
-the goal, so a ``with_goal`` copy shares that dict with its source and
-only the goal mask is built per call: one pair set serves every
-landmark goal of an achievability scan. A projection made by
-``without`` gets an empty one, and a lattice node's search keeps no
-tables, so nothing built for one projection serves another.
+and pair set) go into a tables dict. None depends on the goal, so a
+caller that searches one model for several goals may pass the same
+dict to each call, and only the goal mask is built per call: the
+achievability scan does, so one pair set serves every landmark goal of
+a scan. Every other search builds its tables afresh, so no search
+answers from tables another one built: a self-verification search is
+independent of the search whose claim it checks.
 
 The successor index follows the precondition-indexed successor
 generator of Helmert ("The Fast Downward Planning System", JAIR 2006).
@@ -86,6 +87,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import ResourceExhaustedError
 # apply_action is not called here; the benchmark's tracer counts
 # generated states by patching noplan.search.apply_action
 from .model import Plan, PlanningModel, apply_action  # noqa: F401
@@ -140,6 +142,14 @@ class SearchResult:
     @property
     def exhausted(self) -> bool:
         return self.status == EXHAUSTED
+
+
+def decided(result: SearchResult, stage: str) -> SearchResult:
+    """result, when it is a decision; an exhausted one raises
+    ResourceExhaustedError naming stage and the budget that tripped."""
+    if result.exhausted:
+        raise ResourceExhaustedError(f"{stage}: {result.detail}")
+    return result
 
 
 def relaxed_reachable(m: PlanningModel, banned=frozenset()) -> set[int]:
@@ -234,16 +244,19 @@ def replays(plan: Plan, init: int, goal: int, ops_by_name, keep: int) -> bool:
     return state & goal == goal
 
 
-def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None) -> SearchResult:
+def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None,
+                    tables: dict | None = None) -> SearchResult:
     """Decide whether m has a valid plan; exact unless a budget trips.
 
     A solvable result holds the first shortest plan, with successors
     generated in model action order, so it is deterministic for a fixed
-    model.
+    model. The search tables, none of which depend on the goal, are
+    built in tables when given, or found there from an earlier call on
+    a model that differs from m at most in its goal.
     """
     if m.goal <= m.init:
         return SearchResult(SOLVABLE, ())
-    tables = m._search
+    tables = {} if tables is None else tables
     reached = tables.get("reached")
     if reached is None:
         reached = tables["reached"] = relaxed_reachable(m)

@@ -12,7 +12,7 @@ import time
 from collections import deque
 
 from noplan import pddl
-from noplan.abstraction import concretize, diff_models
+from noplan.abstraction import ModelUpdate, _updates_for_fluents, concretize, project_model
 from noplan.advice import ActionLabel, ConstraintFsa
 from noplan.errors import InvalidPlanError, NoplanError
 from noplan.landmarks import GREEDY_NECESSARY, NATURAL, NECESSARY, LandmarkGraph
@@ -42,6 +42,10 @@ from noplan.search import (
 
 class EnumerationBudgetError(NoplanError):
     """Exhaustive plan enumeration exceeded its node budget."""
+
+
+class ProjectionRelationError(NoplanError):
+    """Two models handed to diff_models are not in a projection relation."""
 
 
 def decide_solvable_by_sets(m: PlanningModel, limits: SearchLimits | None = None) -> SearchResult:
@@ -413,6 +417,14 @@ def landmark_holds_on_all_plans(m: PlanningModel, formula, max_len: int) -> bool
         if not any(holds(s, formula) for s in replay(m, plan)):
             return False
     return True
+
+
+def diff_models(abs_m: PlanningModel, conc_m: PlanningModel) -> list[ModelUpdate]:
+    """One update per occurrence of a projected fluent in the concrete model."""
+    restored = conc_m.fluents - abs_m.fluents
+    if abs_m.fluents - conc_m.fluents or project_model(conc_m, restored) != abs_m:
+        raise ProjectionRelationError("models are not in a projection relation")
+    return _updates_for_fluents(conc_m, restored)
 
 
 def brute_force_explanations(lat, members):

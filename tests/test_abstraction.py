@@ -13,7 +13,6 @@ from noplan.abstraction import (
     ModelUpdate,
     build_lattice,
     concretize,
-    diff_models,
     find_explanatory_fluents,
     load_lattice_spec,
     minimum_abstraction_set,
@@ -24,7 +23,6 @@ from noplan.advice import compose, parse_advice
 from noplan.errors import (
     LatticeError,
     LatticeSpecError,
-    ProjectionRelationError,
     RootSolvableError,
     UnsolvableEverywhereError,
 )
@@ -34,7 +32,13 @@ from noplan.pddl import ground, parse_model
 from noplan.search import SearchLimits, decide_solvable
 
 from .conftest import INSTANCES, build_model, bundled_models, minirover_groups
-from .oracles import enumerate_plans, project_by_rebuild, same_content
+from .oracles import (
+    ProjectionRelationError,
+    diff_models,
+    enumerate_plans,
+    project_by_rebuild,
+    same_content,
+)
 from .random_models import unsolvable_corpus
 from .test_search import micro_models
 

@@ -13,7 +13,6 @@ from noplan.abstraction import (
     LatticeSpec,
     build_lattice,
     concretize,
-    diff_models,
     minimum_abstraction_set,
     resolve_groups,
 )
@@ -34,6 +33,7 @@ from .oracles import (
     achievability_oracle,
     brute_force_explanations,
     check_orderings_on_plans,
+    diff_models,
     landmark_holds_on_all_plans,
     reachable_states,
     stripped_bounded_plans,
@@ -122,7 +122,7 @@ def test_acceptance_2_soundness_suite(corpus):
             if decide_solvable(target.model, LIMITS).solvable:
                 failures.append(f"instance {i}: node {sorted(node.projected)} still solvable")
         level = lat.node(e.failed.level.projected)
-        graph = extract_landmarks(members[0].model, check_solvable=False, limits=LIMITS)
+        graph = extract_landmarks(members[0].model)
         extended, pseudo = final_goal_landmark(level.model, graph)
         lm = pseudo if e.failed.is_final_goal else e.failed.landmark
         compiled = compile_achievability(level.model, extended, lm)
@@ -167,7 +167,7 @@ def test_acceptance_4_landmark_soundness(norocks, twopath, small_solvable_models
     landmark_count = 0
     for fi, m in enumerate(fixtures):
         bound = min(len(reachable_states(m)), 10)
-        graph = extract_landmarks(m, check_solvable=False, limits=LIMITS)
+        graph = extract_landmarks(m)
         for lm in graph.landmarks:
             landmark_count += 1
             if not landmark_holds_on_all_plans(m, lm.formula, bound):
@@ -198,7 +198,7 @@ def test_acceptance_5_achievability_equivalence(minirover, norocks, twopath,
     disagreements = []
     compared = 0
     for source, target in cases:
-        graph = extract_landmarks(source, check_solvable=False, limits=LIMITS)
+        graph = extract_landmarks(source)
         extended, pseudo = final_goal_landmark(target, graph)
         for lm in list(graph.landmarks) + [pseudo]:
             compiled = compile_achievability(target, extended, lm)
@@ -347,14 +347,14 @@ def test_acceptance_7_structural_properties(minirover, norocks, small_solvable_m
         for hi in range(1, len(layers)):
             if not decide_solvable(layers[hi], LIMITS).solvable:
                 continue
-            graph = extract_landmarks(layers[hi], check_solvable=False, limits=LIMITS)
+            graph = extract_landmarks(layers[hi])
             for lo in range(hi):
                 for lm in graph.landmarks:
                     assert landmark_holds_on_all_plans(layers[lo], lm.formula, bound)
                     chain_checks += 1
     # refutation propagates downward on the minirover lattice
     top = lat.node({"rocks", "conn"})
-    graph = extract_landmarks(top.model, check_solvable=False, limits=LIMITS)
+    graph = extract_landmarks(top.model)
     for lm in graph.landmarks:
         refuted_at = None
         for projected in ({"conn"}, frozenset()):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
+from noplan import achievability, search
 from noplan.abstraction import project_model
 from noplan.achievability import (
     FailedSubgoal,
@@ -267,7 +268,7 @@ def _scan_per_landmark(m, extended, seq, pseudo):
 
 
 def _check_shared_compile(m):
-    g = extract_landmarks(m, check_solvable=False)
+    g = extract_landmarks(m)
     extended, pseudo = final_goal_landmark(m, g)
     shared = compile_achievability(m, extended, pseudo)
     for lm in extended.landmarks:
@@ -280,7 +281,9 @@ def _check_shared_compile(m):
     failed = first_unachievable(m, g)
     assert failed == _scan_per_landmark(m, extended, seq, pseudo)
     assert failed.compiled == compile_achievability(m, extended, failed.landmark)
-    assert failed.compiled._search == {}
+    # searched on tables of its own, the failing step is unsolvable, as
+    # the scan found on the tables its steps shared
+    assert not decide_solvable(failed.compiled).solvable or failed.landmark == pseudo
     return failed, seq
 
 
@@ -290,7 +293,7 @@ def test_shared_compile_matches_per_landmark_compile(m):
     _check_shared_compile(m)
 
 
-def test_shared_compile_scan_fails_past_the_first_landmark():
+def _spent_token_model():
     # the token for p is spent once; p, then q (which consumes p) are
     # achievable in order, but g needs p and q together
     m, _ = build_model(
@@ -303,11 +306,39 @@ def test_shared_compile_scan_fails_past_the_first_landmark():
         ["t"],
         ["g"],
     )
+    return m
+
+
+def test_shared_compile_scan_fails_past_the_first_landmark():
+    m = _spent_token_model()
     failed, seq = _check_shared_compile(m)
     names = [{m.table.canonical(f) for f in lm.formula.fluents} for lm in seq]
     assert names == [{"t"}, {"p"}, {"q"}, {"g"}]
     assert failed.landmark == seq[3] and not failed.is_final_goal
     assert failed.achieved_prefix == tuple(seq[:3])
+
+
+def test_one_scan_builds_its_search_tables_once(monkeypatch):
+    """The scan searches three landmark goals past the relaxed check (p,
+    q, g; t holds initially), on one relaxed set and one set of masks."""
+    m = _spent_token_model()
+    lg = extract_landmarks(m)
+    calls = {"relaxed_reachable": 0, "compile_masks": 0, "decide_solvable": 0}
+
+    def count(name):
+        original = getattr(search, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("relaxed_reachable", "compile_masks"):
+        monkeypatch.setattr(search, name, count(name))
+    monkeypatch.setattr(achievability, "decide_solvable", count("decide_solvable"))
+    assert first_unachievable(m, lg).landmark.formula.fluents == {m.table.id_of("g")}
+    assert calls == {"relaxed_reachable": 1, "compile_masks": 1, "decide_solvable": 4}
 
 
 # --- the unconditional first-time reset ---------------------------------------
@@ -333,9 +364,9 @@ def _assert_reset_is_exact(m, lg):
 
 def _assert_reset_is_exact_on(m, groups):
     top = top_projection(m, groups)
-    _assert_reset_is_exact(m, extract_landmarks(m, check_solvable=False))
+    _assert_reset_is_exact(m, extract_landmarks(m))
     # landmarks of the top projection, achievable there, often not on m
-    lg = extract_landmarks(top, check_solvable=False)
+    lg = extract_landmarks(top)
     _assert_reset_is_exact(m, lg)
     _assert_reset_is_exact(top, lg)
 

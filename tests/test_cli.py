@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from noplan import cli
 from noplan.cli import main
 
 from .conftest import INSTANCES
@@ -338,6 +340,110 @@ def test_explain_budget_exit_three(capsys):
     assert "gave up" in capsys.readouterr().err
 
 
+# The key is grabbed once, and finishing spends it; the goal needs the
+# key and finishing together, which the four free bits hide from a
+# small node budget. Nothing opens the lock, so the concrete model is
+# unsolvable without a search; projecting the fresh group makes it solvable.
+LOCK_DOMAIN = """
+(define (domain lock)
+  (:requirements :strips :typing)
+  (:types bit)
+  (:predicates (fresh) (key) (g) (open) (on ?b - bit))
+  (:action grab :parameters () :precondition (fresh) :effect (and (key) (not (fresh))))
+  (:action finish :parameters () :precondition (and (key) (open))
+    :effect (and (g) (not (key))))
+  (:action shut :parameters () :precondition (and) :effect (not (open)))
+  (:action set :parameters (?b - bit) :precondition (and) :effect (on ?b)))
+"""
+LOCK_PROBLEM = """
+(define (problem lock) (:domain lock)
+  (:objects b1 b2 b3 b4 - bit)
+  (:init (fresh))
+  (:goal (and (g) (key) (open))))
+"""
+LOCK_LATTICE = {"groups": [{"name": "fresh", "predicates": ["fresh"]},
+                           {"name": "open", "predicates": ["open"]}]}
+
+# three steps to the goal; the advice forbids the last, so every level
+# is unsolvable without a search, and the model without advice is searched
+STEPS_DOMAIN = """
+(define (domain steps)
+  (:requirements :strips)
+  (:predicates (a) (b) (g) (x))
+  (:action s1 :parameters () :precondition (and) :effect (a))
+  (:action s2 :parameters () :precondition (a) :effect (b))
+  (:action s3 :parameters () :precondition (b) :effect (g))
+  (:action s4 :parameters () :precondition (and) :effect (x)))
+"""
+STEPS_PROBLEM = "(define (problem steps) (:domain steps) (:init) (:goal (g)))"
+STEPS_LATTICE = {"groups": [{"name": "xs", "predicates": ["x"]}]}
+STEPS_ADVICE = [{"template": "never-use-action", "action": "s3"}]
+
+
+def _write_instance(directory, domain, problem, lattice, advice=None):
+    (directory / "domain.pddl").write_text(domain)
+    (directory / "problem.pddl").write_text(problem)
+    (directory / "lattice.json").write_text(json.dumps(lattice))
+    if advice is not None:
+        (directory / "advice.json").write_text(json.dumps(advice))
+    return directory
+
+
+BLOCKS = INSTANCES / "blocksworld"
+
+# Searches that a node budget cannot exhaust on its own are left out:
+# self-verification repeats a search that already ended within the same
+# budget, and the exemplar replays a member's stored plan.
+EXHAUSTED_STAGES = [
+    pytest.param("check", BLOCKS, False, 1,
+                 "solvability of the concrete model", id="check"),
+    pytest.param("explain", BLOCKS, False, 0,
+                 "solvability of the concrete model", id="root"),
+    pytest.param("explain", "lock", False, 5,
+                 "solvability of maximal element at node ['fresh', 'open']", id="maximal"),
+    pytest.param("explain", "lock", False, 20,
+                 "explanatory-fluent check at node ['open']", id="explanatory"),
+    pytest.param("explain", BLOCKS, True, 20,
+                 "achievability of landmark 0", id="achievability"),
+    pytest.param("explain", "steps", True, 1,
+                 "solvability of the model without advice", id="without-advice"),
+]
+
+
+@pytest.mark.parametrize("command, instance, advice, budget, stage", EXHAUSTED_STAGES)
+def test_exhausted_budget_names_stage_and_budget(tmp_path, capsys, command, instance,
+                                                 advice, budget, stage):
+    if instance == "lock":
+        instance = _write_instance(tmp_path, LOCK_DOMAIN, LOCK_PROBLEM, LOCK_LATTICE)
+    elif instance == "steps":
+        instance = _write_instance(tmp_path, STEPS_DOMAIN, STEPS_PROBLEM, STEPS_LATTICE,
+                                   STEPS_ADVICE)
+    args = [command, "--domain", instance / "domain.pddl",
+            "--problem", instance / "problem.pddl", "--node-budget", budget]
+    if command == "explain":
+        args += ["--lattice", instance / "lattice.json"]
+    if advice:
+        args += ["--advice", instance / "advice.json"]
+    assert run_cli(*args) == 3
+    assert capsys.readouterr().err == (
+        f"gave up: resource budget exhausted during: {stage}: node budget {budget} reached\n")
+
+
+def test_deeply_nested_parentheses_exit_two(tmp_path, capsys):
+    domain = (MINIROVER / "domain.pddl").read_text()
+    deep = tmp_path / "domain.pddl"
+    deep.write_text(domain.replace("(:predicates", "(:predicates " + "(" * 3000, 1))
+    code = main([
+        "check",
+        "--domain", str(deep),
+        "--problem", str(MINIROVER / "problem.pddl"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "nested deeper than" in err
+    assert err.count("\n") == 1
+
+
 def test_check_unsolvable(capsys):
     code = main([
         "check",
@@ -370,6 +476,8 @@ def test_landmarks_on_unsolvable_exits_one(capsys):
         "--problem", str(MINIROVER / "problem.pddl"),
     ])
     assert code == 1
+    assert capsys.readouterr().err == (
+        "the problem is unsolvable; landmarks are extracted from solvable models\n")
 
 
 def test_landmarks_budget_overrun_exits_three(capsys):
@@ -383,8 +491,9 @@ def test_landmarks_budget_overrun_exits_three(capsys):
         "--node-budget", "1",
     ])
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("gave up:") and "landmark extraction" in err
+    assert capsys.readouterr().err == ("gave up: resource budget exhausted during: "
+                                       "solvability check before landmark extraction: "
+                                       "node budget 1 reached\n")
 
 
 def test_landmarks_dump(tmp_path, capsys):
@@ -465,9 +574,11 @@ def test_compile_advice_takes_no_budget(tmp_path, capsys, flag):
 
 
 def test_module_entry_point():
+    # run from the directory that holds the package under test, which
+    # python -m puts on the module path
     proc = subprocess.run(
         [sys.executable, "-m", "noplan", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=Path(cli.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert "noplan" in proc.stdout

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from noplan import abstraction, achievability, landmarks
+from noplan import search as search_module
 from noplan.abstraction import LatticeSpec, build_lattice, minimum_abstraction_set
 from noplan.errors import ModelUnsolvableError, ResourceExhaustedError
 from noplan.explain import (
@@ -333,11 +334,10 @@ def test_dump_writes_one_pair_per_member(tmp_path):
 
 
 def test_explain_builds_each_artifact_once(tmp_path, monkeypatch, minirover, minirover_spec):
-    """One update listing per explanation, no diff_models, and one
-    landmark extraction and one achievability compilation per minimum-set
-    member (the scan, the dump and self-verification share them)."""
-    calls = {"extract_landmarks": 0, "_updates_for_fluents": 0, "diff_models": 0,
-             "compile_achievability": 0}
+    """One update listing per explanation, and one landmark extraction and
+    one achievability compilation per minimum-set member (the scan, the
+    dump and self-verification share them)."""
+    calls = {"extract_landmarks": 0, "_updates_for_fluents": 0, "compile_achievability": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -353,7 +353,6 @@ def test_explain_builds_each_artifact_once(tmp_path, monkeypatch, minirover, min
 
     count(landmarks, "extract_landmarks")
     count(abstraction, "_updates_for_fluents")
-    count(abstraction, "diff_models")
     count(achievability, "compile_achievability")
     for i, (m, spec) in enumerate([(minirover, minirover_spec), _restricted_lattice_case()]):
         for key in calls:
@@ -362,34 +361,51 @@ def test_explain_builds_each_artifact_once(tmp_path, monkeypatch, minirover, min
         assert e.status == STATUS_EXPLAINED
         members = 1 + len(e.secondary)
         assert calls == {"extract_landmarks": members, "_updates_for_fluents": 1,
-                         "diff_models": 0, "compile_achievability": members}
+                         "compile_achievability": members}
         assert e.failed.compiled is None
         assert all(f.compiled is None for f in e.secondary)
 
 
-def test_subgoal_verification_searches_a_fresh_copy(monkeypatch, minirover, minirover_spec):
-    """Self-verification of the headline subgoal searches a model equal to
-    the one the scan found unsolvable, but not that object, and with none
-    of the scan's search tables."""
+def test_subgoal_verification_searches_on_tables_of_its_own(monkeypatch, minirover,
+                                                           minirover_spec):
+    """Every step of the scan searches on the scan's one tables dict;
+    self-verification searches the model the scan found unsolvable with
+    none, so it builds tables of its own."""
     original = achievability.decide_solvable
     scans, verifies = [], []
 
-    def scan(model, limits=None):
-        result = original(model, limits)
-        scans.append((model, result))
+    def scan(model, limits=None, tables=None):
+        result = original(model, limits, tables)
+        scans.append((model, tables, result))
         return result
 
-    def search(model, limits=None):
-        verifies.append((model, bool(model._search)))
-        return original(model, limits)
+    def search(model, limits=None, tables=None):
+        verifies.append((model, tables))
+        return original(model, limits, tables)
 
     monkeypatch.setattr(achievability, "decide_solvable", scan)
     monkeypatch.setattr(importlib.import_module("noplan.explain"), "decide_solvable", search)
     e = explain(minirover, minirover_spec)
+    assert e.status == STATUS_EXPLAINED and not e.secondary
+    shared = scans[0][1]
+    assert shared and all(tables is shared for _, tables, _ in scans)
+    scanned = next(model for model, _, result in scans if not result.solvable)
+    assert [tables for model, tables in verifies if model is scanned] == [None]
+
+
+def test_root_target_verification_builds_its_own_relaxed_set(monkeypatch, minirover_texts):
+    """With one group, the explanatory level is the root itself; its
+    self-verification does not reuse the root decision's relaxed set."""
+    m = ground(parse_model(*minirover_texts))
+    original = search_module.relaxed_reachable
+    calls = []
+
+    def spy(model, banned=frozenset()):
+        calls.append(model)
+        return original(model, banned)
+
+    monkeypatch.setattr(search_module, "relaxed_reachable", spy)
+    e = explain(m, LatticeSpec((("rocks", ("clear",)),)))
     assert e.status == STATUS_EXPLAINED
-    scanned = next(model for model, result in scans if not result.solvable)
-    assert scanned._search
-    compiled = [(model, tables) for model, tables in verifies if model == scanned]
-    assert len(compiled) == 1
-    model, tables = compiled[0]
-    assert model is not scanned and not tables
+    assert e.failed.level.projected == frozenset()
+    assert sum(model is m for model in calls) == 2

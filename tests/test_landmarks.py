@@ -1,6 +1,6 @@
 import pytest
 
-from noplan.errors import CycleError, ModelUnsolvableError
+from noplan.errors import CycleError
 from noplan.landmarks import (
     GREEDY_NECESSARY,
     Landmark,
@@ -51,11 +51,6 @@ def test_extract_goal_in_init_only_goal_conjuncts():
     assert g.landmarks[0].is_goal_conjunct
     assert g.landmarks[0].holds_in_init
     assert g.orderings == ()
-
-
-def test_extract_requires_solvable(minirover):
-    with pytest.raises(ModelUnsolvableError):
-        extract_landmarks(minirover)
 
 
 def test_extract_two_path_disjunction(twopath):

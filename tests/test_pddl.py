@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noplan.errors import PddlError
-from noplan.pddl import ground, parse_model, write_domain, write_problem
+from noplan.pddl import MAX_DEPTH, _read_sexprs, ground, parse_model, write_domain, write_problem
 from noplan.search import decide_solvable
 
+from .conftest import INSTANCES
 from .oracles import ground_by_product, same_content
 
 
@@ -63,6 +65,30 @@ def test_parse_unknown_requirement():
 def test_parse_unbalanced():
     with pytest.raises(PddlError, match="parenthesis"):
         parse_model("(define (domain d)", "(define (problem x))")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(a (b)\n (c (d)", "line 2, col 2: unbalanced parenthesis"),
+    ("(a) (b))", "line 1, col 8: unexpected ')'"),
+    ("(" * MAX_DEPTH + ")" * MAX_DEPTH + "\n" + "(" * (MAX_DEPTH + 1),
+     f"line 2, col {MAX_DEPTH + 1}: parentheses nested deeper than {MAX_DEPTH}"),
+])
+def test_reader_errors_name_their_position(text, message):
+    with pytest.raises(PddlError) as exc:
+        _read_sexprs(text)
+    assert str(exc.value) == message
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    base = INSTANCES / "blocksworld"
+    texts = (base / "domain.pddl").read_text(), (base / "problem.pddl").read_text()
+    gc.collect()
+    gc.disable()
+    try:
+        parse_model(*texts)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ground_minirover_matches_hand_model(minirover, minirover_hand):

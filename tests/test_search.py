@@ -207,7 +207,7 @@ def _assert_lattice_matches_rebuilt_projections(m, groups):
 def test_search_matches_set_search_on_bundled_instances(m, groups):
     top = top_projection(m, groups)
     # landmarks of the top projection, achievable there, often not on m
-    lg = extract_landmarks(top, check_solvable=False)
+    lg = extract_landmarks(top)
     for level in (m, top):
         _assert_search_matches_sets(level)
         shared, goals = _achievability_goals(level, lg)
@@ -257,7 +257,7 @@ def test_search_matches_set_search_on_random_models_with_keyed_ops():
         assert any(sum(op[-1].startswith("twin") for op in bucket) == 3
                    for bucket in buckets.values())
         _assert_search_matches_sets(m)
-        lg = extract_landmarks(top_projection(m, groups), check_solvable=False)
+        lg = extract_landmarks(top_projection(m, groups))
         shared, goals = _achievability_goals(m, lg)
         for goal in goals:
             _assert_search_matches_sets(shared.with_goal(goal))
@@ -315,7 +315,7 @@ def test_pair_pass_matches_set_pairs(m):
                                         for label, m, groups in bundled_models()])
 def test_pair_pass_proves_every_bundled_unsolvable_search(m, groups):
     top = top_projection(m, groups)
-    lg = extract_landmarks(top, check_solvable=False)
+    lg = extract_landmarks(top)
     for level in (m, top):
         shared, goals = _achievability_goals(level, lg)
         for task in [level] + [shared.with_goal(goal) for goal in goals]:
@@ -348,15 +348,20 @@ def test_pair_check_answers_only_searches_that_reach_the_gate():
     assert len(reachable_states(m)) > gate + 1
     assert m.goal <= relaxed_reachable(m)
     below, above = SearchLimits(max_nodes=gate), SearchLimits(max_nodes=gate + 1)
-    assert decide_solvable(m, below).exhausted
-    assert decide_solvable(m, above).status == "unsolvable"
+    tables: dict = {}
+    assert decide_solvable(m, below, tables).exhausted
+    assert "pairs" not in tables
+    assert decide_solvable(m, above, tables).status == "unsolvable"
     assert decide_solvable_by_sets(m, below).exhausted
     assert decide_solvable_by_sets(m, above).status == "unsolvable"
-    assert "pairs" in m._search
+    assert "pairs" in tables
     # the stored pair set answers only a search whose budget passes the gate
-    assert decide_solvable(m, below).exhausted
-    assert decide_solvable(m, above).status == "unsolvable"
-    assert decide_solvable(m, SearchLimits(max_nodes=gate + 1, max_seconds=0)).status == "unsolvable"
+    assert decide_solvable(m, below, tables).exhausted
+    assert decide_solvable(m, above, tables).status == "unsolvable"
+    no_time = SearchLimits(max_nodes=gate + 1, max_seconds=0)
+    assert decide_solvable(m, no_time, tables).status == "unsolvable"
+    # a search given no tables builds its own, so no stored pair set answers it
+    assert decide_solvable(m, no_time).exhausted
 
 
 def test_time_budget_reports_exhausted():
