@@ -480,6 +480,21 @@ def test_landmarks_on_unsolvable_exits_one(capsys):
         "the problem is unsolvable; landmarks are extracted from solvable models\n")
 
 
+def test_landmarks_checks_solvability_before_extracting(capsys, monkeypatch):
+    # extract_landmarks assumes a solvable model; the command must refuse
+    # an unsolvable one before extraction runs, and print no graph
+    calls = []
+    monkeypatch.setattr(cli, "extract_landmarks", lambda m: calls.append(m))
+    code = main([
+        "landmarks",
+        "--domain", str(MINIROVER / "domain.pddl"),
+        "--problem", str(MINIROVER / "problem.pddl"),
+    ])
+    assert code == 1
+    assert calls == []
+    assert capsys.readouterr().out == ""
+
+
 def test_landmarks_budget_overrun_exits_three(capsys):
     # blocksworld is solvable; a one-node budget cannot show it, which
     # is an overrun, not an unsolvable problem
