@@ -114,9 +114,6 @@ class LatticeNode:
     def model(self) -> PlanningModel:
         return project_model(self.root, self.gone) if self.gone else self.root
 
-    def sort_key(self):
-        return tuple(sorted(self.projected))
-
 
 def project_model(m: PlanningModel, fluents) -> PlanningModel:
     """Remove a fluent set from every component of m.
@@ -363,8 +360,10 @@ class LatticeSpec:
 
 def load_lattice_spec(text: str) -> LatticeSpec:
     try:
+        # the decoder recurses once per nested array or object, so deep
+        # nesting raises RecursionError
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise LatticeSpecError(f"lattice spec is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("groups"), list):
         raise LatticeSpecError("lattice spec must be an object with a 'groups' list")

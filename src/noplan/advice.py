@@ -207,8 +207,10 @@ def _parse_formula(m: PlanningModel, text: str) -> DnfFormula:
 def parse_advice(text: str, m: PlanningModel) -> ConstraintFsa:
     """Load an advice file and fold its items into one automaton."""
     try:
+        # the decoder recurses once per nested array or object, so deep
+        # nesting raises RecursionError
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise AdviceError(f"advice file is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = [data]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when an explanation (or requested output) was produced,
 1 when the problem turned out to be solvable so there is nothing to
-explain, 2 on input errors, 3 when a search budget was exhausted.
+explain, 2 on input errors, 3 when a search budget was exhausted, 4
+when an explanation failed its own self-check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from . import __version__
 from .abstraction import build_lattice, load_lattice_spec, resolve_groups
 from .advice import compose, parse_advice, strip_meta
-from .errors import InputError, ResourceExhaustedError
+from .errors import InputError, PipelineError, ResourceExhaustedError
 from .explain import (
     EXEMPLAR_AUTO,
     STATUS_SOLVABLE,
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_SOLVABLE = 1
 EXIT_INPUT = 2
 EXIT_EXHAUSTED = 3
+EXIT_SELF_CHECK = 4
 
 
 def _read(path: str) -> str:
@@ -196,6 +198,9 @@ def main(argv=None) -> int:
     except ResourceExhaustedError as exc:
         print(f"gave up: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except PipelineError as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
+        return EXIT_SELF_CHECK
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: anything derived from InputError is a
 user-input problem (exit 2), ResourceExhaustedError is a blown search
-budget (exit 3). Everything else is a programming or contract error.
+budget (exit 3) and PipelineError a failed self-check (exit 4).
+Everything else is a programming or contract error.
 """
 
 from __future__ import annotations

@@ -90,14 +90,6 @@ class Explanation:
                     "set and the failed subgoal"
                 )
 
-    @property
-    def degenerate(self) -> str | None:
-        if self.status == STATUS_SOLVABLE:
-            return "solvable-root"
-        if self.status == STATUS_TOP_UNSOLVABLE:
-            return "unsolvable-at-top"
-        return None
-
 
 def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None = None,
             *, limits: SearchLimits | None = None, exemplar: str = EXEMPLAR_AUTO,

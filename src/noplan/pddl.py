@@ -468,14 +468,16 @@ def _check_ground_atoms(lifted: LiftedModel) -> None:
 def ground(lifted: LiftedModel) -> PlanningModel:
     """Instantiate a lifted model into a grounded PlanningModel.
 
-    Parameter bindings are filtered on static facts before any action
-    is built: a binding is extended only while every positive
-    precondition on a static predicate whose variables it has bound
-    holds in the initial state, so only surviving actions are
-    instantiated. Negative preconditions, conditions and goals are
-    replaced by complement fluents; the fluent set is exactly what occurs
-    in the surviving actions, the initial state and the goal, with
-    complement pairs kept whole.
+    Parameter bindings are built level by level, one parameter at a
+    time, and filtered on static facts before any action is built: a
+    partial binding is extended only while every positive precondition
+    on a static predicate whose variables it has bound holds in the
+    initial state, so only surviving actions are instantiated. Fluents
+    are interned once, in sorted order, and every atom is mapped
+    through that one id table. Negative preconditions, conditions and
+    goals are replaced by complement fluents; the fluent set is exactly
+    what occurs in the surviving actions, the initial state and the
+    goal, with complement pairs kept whole.
     """
     static_preds = _static_predicates(lifted)
     init_atoms = {(a.pred, a.args) for a in lifted.init}
@@ -487,52 +489,52 @@ def ground(lifted: LiftedModel) -> PlanningModel:
     return _assemble(lifted, grounded, init_atoms)
 
 
-def _bindings(lifted: LiftedModel, schema: ActionSchema, static_preds, init_atoms):
+def _bindings(lifted: LiftedModel, schema: ActionSchema, static_preds,
+              init_atoms) -> list[tuple[str, ...]]:
     """Parameter tuples of schema whose positive static preconditions hold.
 
-    Parameters are bound in declaration order over objects_of in its
-    sorted order, so tuples come out in itertools.product order. Each
-    positive precondition on a static predicate is tested where its last
-    variable gets bound, and a failing binding is not extended.
-    Negated static preconditions are never grounds for pruning: an
-    action permanently disabled by them stays in the model so that
-    abstraction can reason about why it is disabled. Explicitly ground
-    schemas (no parameters) are kept verbatim.
+    The tuples are built one parameter at a time, in declaration order
+    over objects_of in its sorted order, so they come out in
+    itertools.product order. Each positive precondition on a static
+    predicate becomes a template of parameter positions and constants,
+    tested while the level of its last variable is built: a tuple that
+    fails it is not extended, so no level holds its unfiltered product.
+    A static atom without variables is tested once, and a false one
+    empties the schema. Negated static preconditions are never grounds
+    for pruning: an action permanently disabled by them stays in the
+    model so that abstraction can reason about why it is disabled.
+    Explicitly ground schemas (no parameters) are kept verbatim.
     """
     if not schema.params:
-        yield ()
-        return
-    level = {var: i for i, (var, _) in enumerate(schema.params)}
-    checks: list[list[LiftedAtom]] = [[] for _ in schema.params]
+        return [()]
+    position = {var: i for i, (var, _) in enumerate(schema.params)}
+    # the (predicate, template) tests of each level; a template entry is
+    # a parameter position (int) or a constant (str)
+    checks: list[list[tuple[str, tuple]]] = [[] for _ in schema.params]
     for atom in schema.pos_pre:
         if atom.pred not in static_preds:
             continue
-        bound_at = [level[arg] for arg in atom.args if arg in level]
+        bound_at = [position[arg] for arg in atom.args if arg in position]
         if bound_at:
-            checks[max(bound_at)].append(atom)
+            template = tuple(position.get(arg, arg) for arg in atom.args)
+            checks[max(bound_at)].append((atom.pred, template))
         elif (atom.pred, atom.args) not in init_atoms:
-            return
-    domains = [lifted.objects_of(t) for _, t in schema.params]
-    last = len(domains) - 1
-    binding: dict[str, str] = {}
-    combo: list[str] = [""] * len(domains)
-
-    def walk(i: int):
-        var = schema.params[i][0]
-        tests = checks[i]
-        for obj in domains[i]:
-            binding[var] = obj
-            combo[i] = obj
-            if tests and not all(
-                    (a.pred, tuple([binding.get(x, x) for x in a.args])) in init_atoms
-                    for a in tests):
-                continue
-            if i == last:
-                yield tuple(combo)
-            else:
-                yield from walk(i + 1)
-
-    yield from walk(0)
+            return []
+    combos: list[tuple[str, ...]] = [()]
+    for (_, typ), tests in zip(schema.params, checks):
+        objects = lifted.objects_of(typ)
+        extended = []
+        for combo in combos:
+            for obj in objects:
+                candidate = combo + (obj,)
+                for pred, template in tests:
+                    args = tuple([candidate[x] if type(x) is int else x for x in template])
+                    if (pred, args) not in init_atoms:
+                        break
+                else:
+                    extended.append(candidate)
+        combos = extended
+    return combos
 
 
 def _assemble(lifted: LiftedModel, grounded: list[_GroundAction],
@@ -553,38 +555,34 @@ def _assemble(lifted: LiftedModel, grounded: list[_GroundAction],
     negated.update((a.pred, a.args) for a in lifted.goal_neg)
     occurring.update(negated)
 
-    for pred, args in sorted(occurring):
-        table.intern(pred, args)
+    ids = {key: table.intern(*key) for key in sorted(occurring)}
     complement: dict[int, int] = {}
-    for pred, args in sorted(negated):
-        pos = table.id_of(pred, args)
+    for key in sorted(negated):
+        pos = ids[key]
         complement[pos] = table.ensure_complement(pos, PddlError)
 
-    def fid(key):
-        return table.id_of(*key)
-
-    init = {fid(k) for k in init_atoms}
+    init = {ids[k] for k in init_atoms}
     init = frozenset(init | {neg for pos, neg in complement.items() if pos not in init})
 
     base = []
     names = set()
     for ga in grounded:
-        prec = {fid(k) for k in ga.pos_pre}
-        prec.update(complement[fid(k)] for k in ga.neg_pre)
+        prec = {ids[k] for k in ga.pos_pre}
+        prec.update(complement[ids[k]] for k in ga.neg_pre)
         effects = []
         for cond, adds, dels in ga.effects:
-            add_ids = frozenset({fid(k) for k in adds})
+            add_ids = frozenset([ids[k] for k in adds])
             # adds win inside a single clause
-            del_ids = frozenset({fid(k) for k in dels}) - add_ids
+            del_ids = frozenset([ids[k] for k in dels]) - add_ids
             if cond or add_ids or del_ids or len(ga.effects) == 1:
-                effects.append(Effect(frozenset({fid(k) for k in cond}), add_ids, del_ids))
+                effects.append(Effect(frozenset([ids[k] for k in cond]), add_ids, del_ids))
         if ga.name in names:
             raise PddlError(f"duplicate grounded action name {ga.name}")
         names.add(ga.name)
         base.append(Action(ga.name, frozenset(prec), tuple(effects)))
 
-    goal = frozenset({fid((a.pred, a.args)) for a in lifted.goal_pos}
-                     | {complement[fid((a.pred, a.args))] for a in lifted.goal_neg})
+    goal = frozenset({ids[(a.pred, a.args)] for a in lifted.goal_pos}
+                     | {complement[ids[(a.pred, a.args)]] for a in lifted.goal_neg})
     fluents = frozenset(range(len(table)))
 
     def naive_reachable():
@@ -712,22 +710,23 @@ def parse_ground_formula(text: str, m: PlanningModel):
     forms = _read_sexprs(text)
     if len(forms) != 1:
         raise PddlError("expected exactly one formula")
+    return _formula_tree(forms[0], m)
 
-    def walk(f):
-        if isinstance(f, Tok):
-            raise _err(f, "expected a parenthesized formula")
-        if not f:
-            return ("and",)
-        head = _name(f[0], "formula")
-        kw = head.text.lower()
-        if kw in ("and", "or"):
-            return (kw, *(walk(sub) for sub in f[1:]))
-        if kw == "not":
-            raise _err(head, "negation is not supported in formulas")
-        args = tuple(_name(t, f"atom ({kw} ...)").text.lower() for t in f[1:])
-        fid = m.table.get(kw, args)
-        if fid is None or fid not in m.fluents:
-            raise _err(head, f"unresolved atom ({kw} {' '.join(args)})")
-        return fid
 
-    return walk(forms[0])
+def _formula_tree(f, m: PlanningModel):
+    """The DNF tree of one read formula, its atoms resolved in m."""
+    if isinstance(f, Tok):
+        raise _err(f, "expected a parenthesized formula")
+    if not f:
+        return ("and",)
+    head = _name(f[0], "formula")
+    kw = head.text.lower()
+    if kw in ("and", "or"):
+        return (kw, *(_formula_tree(sub, m) for sub in f[1:]))
+    if kw == "not":
+        raise _err(head, "negation is not supported in formulas")
+    args = tuple(_name(t, f"atom ({kw} ...)").text.lower() for t in f[1:])
+    fid = m.table.get(kw, args)
+    if fid is None or fid not in m.fluents:
+        raise _err(head, f"unresolved atom ({kw} {' '.join(args)})")
+    return fid

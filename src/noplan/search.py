@@ -28,14 +28,15 @@ masks, then the breadth-first search over the ops whose preconditions
 model's masks. It first checks the relaxed-reachable fluent set itself,
 so a goal outside it is answered before any mask is compiled, and then
 compiles only the actions and effects inside the set. The set, the
-masks and decide_masks' own tables (its relaxed bits, successor index
-and pair set) go into a tables dict. None depends on the goal, so a
+masks, the set as a mask (decide_masks' relaxed bits: the mask
+fixpoint of the filtered ops is the set itself) and decide_masks'
+successor index go into a tables dict. None depends on the goal, so a
 caller that searches one model for several goals may pass the same
 dict to each call, and only the goal mask is built per call: the
-achievability scan does, so one pair set serves every landmark goal of
-a scan. Every other search builds its tables afresh, so no search
-answers from tables another one built: a self-verification search is
-independent of the search whose claim it checks.
+achievability scan does, so one successor index serves every landmark
+goal of a scan. Every other search builds its tables afresh, so no
+search answers from tables another one built: a self-verification
+search is independent of the search whose claim it checks.
 
 The successor index follows the precondition-indexed successor
 generator of Helmert ("The Fast Downward Planning System", JAIR 2006).
@@ -65,11 +66,10 @@ handled conservatively: a conditional add counts once its condition is
 pairwise reachable together with the precondition, conditional deletes
 are ignored, and adds win over deletes. So the pair set can only hold
 more pairs than the exact one, and an "unsolvable" from it is still
-exact. The pair set does not depend on the goal, so it is kept in the
-tables with the successor index, and a later search over the same
-tables whose node budget lets it reach the gate checks its goal against
-the stored set before expanding a state. Either way the check answers
-only a search whose budget would let it reach the gate: a search with
+exact. The pair set is built at the gate and then dropped: a scan
+stops at its first unsolvable step, and no solvable search reaches the
+gate, so no later search over the same tables would read it. The check
+answers only a search whose budget lets it reach the gate: a search with
 ``max_nodes <= gate`` returns what plain breadth-first search returns,
 and above that, a search that plain breadth-first search would end
 "resource-exhausted" can end "unsolvable" instead.
@@ -266,6 +266,8 @@ def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None,
     masks = tables.get("masks")
     if masks is None:
         masks = tables["masks"] = compile_masks(m, reached)
+        # the relaxed fixpoint of ops filtered on reached is reached itself
+        tables["relaxed"] = fluent_mask(masks[0], reached)
     bits, init, ops = masks
     return decide_masks(init, fluent_mask(bits, m.goal), ops, limits, tables)
 
@@ -275,10 +277,10 @@ def decide_masks(init: int, goal: int, ops, limits: SearchLimits | None = None,
     """Decide whether a goal state is reachable from init over ops.
 
     The masks are those of compile_masks, or a projection of them. The
-    relaxed-reachable bits, the successor index of the ops that can
-    fire within them and the pair set, once a search has built it, do
-    not depend on the goal; given tables, they are kept there for the
-    next call with the same init and ops.
+    relaxed-reachable bits and the successor index of the ops that can
+    fire within them do not depend on the goal; given tables, they are
+    kept there (or found there) for the next call with the same init
+    and ops.
     """
     limits = limits or SearchLimits()
     if goal & init == goal:
@@ -292,7 +294,7 @@ def decide_masks(init: int, goal: int, ops, limits: SearchLimits | None = None,
     index = tables.get("live")
     if index is None:
         index = tables["live"] = _live(ops, relaxed, init)
-    return _bfs(init, goal, index, limits, tables)
+    return _bfs(init, goal, index, limits)
 
 
 def _relaxed(init: int, ops) -> int:
@@ -359,13 +361,9 @@ def _live(ops, reached: int, init: int):
     return always, keys, buckets
 
 
-def _bfs(init: int, goal: int, index, limits: SearchLimits, tables: dict) -> SearchResult:
+def _bfs(init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
     always, keys, buckets = index
     gate = GATE * (len(always) + sum(map(len, buckets.values())))
-    # a stored pair set answers now what the search would find at the gate
-    pairs = tables.get("pairs")
-    if pairs is not None and gate < limits.max_nodes and not _pairwise(goal, pairs):
-        return SearchResult(UNSOLVABLE)
     # merged candidate lists by the key bits a state holds, shared by
     # the states that hold the same ones
     merged: dict[int, list] = {}
@@ -378,12 +376,8 @@ def _bfs(init: int, goal: int, index, limits: SearchLimits, tables: dict) -> Sea
             return SearchResult(EXHAUSTED, None, f"node budget {limits.max_nodes} reached")
         if not expanded & 255 and time.monotonic() >= deadline:
             return SearchResult(EXHAUSTED, None, f"time budget {limits.max_seconds}s reached")
-        if expanded == gate:
-            pairs = tables.get("pairs")
-            if pairs is None:
-                pairs = tables["pairs"] = _pairs(init, index)
-            if not _pairwise(goal, pairs):
-                return SearchResult(UNSOLVABLE)
+        if expanded == gate and not _pairwise(goal, _pairs(init, index)):
+            return SearchResult(UNSOLVABLE)
         state = queue.popleft()
         expanded += 1
         keyed = state & keys

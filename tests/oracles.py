@@ -12,7 +12,17 @@ import time
 from collections import deque
 
 from noplan import pddl
-from noplan.abstraction import ModelUpdate, _updates_for_fluents, concretize, project_model
+from noplan.abstraction import (
+    ADD_EFFECT_LITERAL,
+    DEL_EFFECT_LITERAL,
+    EFFECT_CONDITION_LITERAL,
+    GOAL_LITERAL,
+    INIT_LITERAL,
+    PRECONDITION_LITERAL,
+    ModelUpdate,
+    concretize,
+    project_model,
+)
 from noplan.advice import ActionLabel, ConstraintFsa
 from noplan.errors import InvalidPlanError, NoplanError
 from noplan.landmarks import GREEDY_NECESSARY, NATURAL, NECESSARY, LandmarkGraph
@@ -420,11 +430,24 @@ def landmark_holds_on_all_plans(m: PlanningModel, formula, max_len: int) -> bool
 
 
 def diff_models(abs_m: PlanningModel, conc_m: PlanningModel) -> list[ModelUpdate]:
-    """One update per occurrence of a projected fluent in the concrete model."""
+    """One update per occurrence of a projected fluent in the concrete model.
+
+    The occurrences are read off conc_m's init, goal, preconditions,
+    effect conditions, adds and deletes one component at a time.
+    """
     restored = conc_m.fluents - abs_m.fluents
     if abs_m.fluents - conc_m.fluents or project_model(conc_m, restored) != abs_m:
         raise ProjectionRelationError("models are not in a projection relation")
-    return _updates_for_fluents(conc_m, restored)
+    components = [(INIT_LITERAL, None, conc_m.init), (GOAL_LITERAL, None, conc_m.goal)]
+    for a in conc_m.actions:
+        components.append((PRECONDITION_LITERAL, a.name, a.prec))
+        for e in a.effects:
+            components.append((EFFECT_CONDITION_LITERAL, a.name, e.condition))
+            components.append((ADD_EFFECT_LITERAL, a.name, e.adds))
+            components.append((DEL_EFFECT_LITERAL, a.name, e.dels))
+    updates = {ModelUpdate(kind, action, f)
+               for kind, action, fluents in components for f in fluents if f in restored}
+    return sorted(updates, key=ModelUpdate.sort_key)
 
 
 def brute_force_explanations(lat, members):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from noplan import cli
 from noplan.cli import main
+from noplan.errors import PipelineError
 
 from .conftest import INSTANCES
 
@@ -338,6 +340,24 @@ def test_explain_budget_exit_three(capsys):
     ])
     assert code == 3
     assert "gave up" in capsys.readouterr().err
+
+
+def test_explain_failed_self_check_exit_four(capsys, monkeypatch):
+    def fail(*args):
+        raise PipelineError("restoring ['rocks'] left node ['rocks'] solvable")
+
+    monkeypatch.setattr(importlib.import_module("noplan.explain"), "_self_verify", fail)
+    code = main([
+        "explain",
+        "--domain", str(MINIROVER / "domain.pddl"),
+        "--problem", str(MINIROVER / "problem.pddl"),
+        "--lattice", str(MINIROVER / "lattice.json"),
+    ])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("self-check failed:") and "rocks" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 # The key is grabbed once, and finishing spends it; the goal needs the

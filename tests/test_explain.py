@@ -48,7 +48,6 @@ def test_explain_solvable_root(norocks, minirover_spec):
     spec = LatticeSpec((("conn", ("conn",)),))
     e = explain(norocks, spec)
     assert e.status == STATUS_SOLVABLE
-    assert e.degenerate == "solvable-root"
     assert e.plan == ("move_l1_l2", "move_l2_l3")
     assert e.explanatory is None and e.failed is None
 
@@ -119,7 +118,6 @@ def test_explain_unsolvable_at_top_without_advice():
     spec = LatticeSpec((("ps", ("p",)),))
     e = explain(m, spec)
     assert e.status == STATUS_TOP_UNSOLVABLE
-    assert e.degenerate == "unsolvable-at-top"
     assert e.failed is not None
     assert _names(m, e.failed) == {"g"}
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noplan.advice import parse_advice
 from noplan.errors import PddlError
 from noplan.pddl import MAX_DEPTH, _read_sexprs, ground, parse_model, write_domain, write_problem
 from noplan.search import decide_solvable
@@ -79,16 +80,35 @@ def test_reader_errors_name_their_position(text, message):
     assert str(exc.value) == message
 
 
-def test_parse_leaves_no_cyclic_garbage():
-    base = INSTANCES / "blocksworld"
-    texts = (base / "domain.pddl").read_text(), (base / "problem.pddl").read_text()
+def _cyclic_garbage(call, *args) -> int:
+    """The objects that only the cyclic collector frees after call(*args)."""
     gc.collect()
     gc.disable()
     try:
-        parse_model(*texts)
-        assert gc.collect() == 0
+        call(*args)
+        return gc.collect()
     finally:
         gc.enable()
+
+
+def _texts(name):
+    base = INSTANCES / name
+    return (base / "domain.pddl").read_text(), (base / "problem.pddl").read_text()
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    assert _cyclic_garbage(parse_model, *_texts("blocksworld")) == 0
+
+
+@pytest.mark.parametrize("name", ["blocksworld", "rover_grid"])
+def test_ground_leaves_no_cyclic_garbage(name):
+    assert _cyclic_garbage(ground, parse_model(*_texts(name))) == 0
+
+
+def test_parse_advice_leaves_no_cyclic_garbage():
+    m = ground(parse_model(*_texts("blocksworld")))
+    text = (INSTANCES / "blocksworld" / "advice.json").read_text()
+    assert _cyclic_garbage(parse_advice, text, m) == 0
 
 
 def test_ground_minirover_matches_hand_model(minirover, minirover_hand):

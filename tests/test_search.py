@@ -180,6 +180,10 @@ BUDGETS = [SearchLimits(max_nodes=k) for k in (0, 1, 2, 3, 5, 10, 50)]
 
 
 def _assert_search_matches_sets(m):
+    # decide_solvable stores the relaxed set as decide_masks' relaxed bits
+    reached = relaxed_reachable(m)
+    bits, init, ops = compile_masks(m, reached)
+    assert _relaxed(init, ops) == fluent_mask(bits, reached)
     for limits in [SearchLimits()] + BUDGETS:
         assert decide_solvable(m, limits) == decide_solvable_by_sets(m, limits)
 
@@ -348,20 +352,10 @@ def test_pair_check_answers_only_searches_that_reach_the_gate():
     assert len(reachable_states(m)) > gate + 1
     assert m.goal <= relaxed_reachable(m)
     below, above = SearchLimits(max_nodes=gate), SearchLimits(max_nodes=gate + 1)
-    tables: dict = {}
-    assert decide_solvable(m, below, tables).exhausted
-    assert "pairs" not in tables
-    assert decide_solvable(m, above, tables).status == "unsolvable"
+    assert decide_solvable(m, below).exhausted
+    assert decide_solvable(m, above).status == "unsolvable"
     assert decide_solvable_by_sets(m, below).exhausted
     assert decide_solvable_by_sets(m, above).status == "unsolvable"
-    assert "pairs" in tables
-    # the stored pair set answers only a search whose budget passes the gate
-    assert decide_solvable(m, below, tables).exhausted
-    assert decide_solvable(m, above, tables).status == "unsolvable"
-    no_time = SearchLimits(max_nodes=gate + 1, max_seconds=0)
-    assert decide_solvable(m, no_time, tables).status == "unsolvable"
-    # a search given no tables builds its own, so no stored pair set answers it
-    assert decide_solvable(m, no_time).exhausted
 
 
 def test_time_budget_reports_exhausted():
