@@ -56,14 +56,9 @@ EFFECT_CONDITION_LITERAL = "effect-condition-literal"
 ADD_EFFECT_LITERAL = "add-effect-literal"
 DEL_EFFECT_LITERAL = "del-effect-literal"
 
-_KIND_ORDER = {
-    INIT_LITERAL: 0,
-    GOAL_LITERAL: 1,
-    PRECONDITION_LITERAL: 2,
-    EFFECT_CONDITION_LITERAL: 3,
-    ADD_EFFECT_LITERAL: 4,
-    DEL_EFFECT_LITERAL: 5,
-}
+# update kinds in the order they are reported
+_KINDS = (INIT_LITERAL, GOAL_LITERAL, PRECONDITION_LITERAL, EFFECT_CONDITION_LITERAL,
+          ADD_EFFECT_LITERAL, DEL_EFFECT_LITERAL)
 
 
 @dataclass(frozen=True)
@@ -81,9 +76,6 @@ class ModelUpdate:
     kind: str
     action: str | None
     fluent: int
-
-    def sort_key(self):
-        return (_KIND_ORDER[self.kind], self.action or "", self.fluent)
 
 
 @dataclass(frozen=True)
@@ -276,23 +268,20 @@ def minimum_abstraction_set(lat: AbstractionLattice) -> list[LatticeNode]:
     return out
 
 
-def _updates_for_fluents(m: PlanningModel, fluents: frozenset[int]) -> list[ModelUpdate]:
-    ups: set[ModelUpdate] = set()
-    for f in m.init & fluents:
-        ups.add(ModelUpdate(INIT_LITERAL, None, f))
-    for f in m.goal & fluents:
-        ups.add(ModelUpdate(GOAL_LITERAL, None, f))
+def _updates_for_fluents(m: PlanningModel, fluents: frozenset[int]) -> set[tuple]:
+    """Each occurrence of fluents in m as a (kind position in _KINDS,
+    action, fluent) tuple. The action is None for the init and goal
+    kinds, which no named action shares, so the tuples sort without a key."""
+    ups = {(0, None, f) for f in m.init & fluents}
+    ups.update((1, None, f) for f in m.goal & fluents)
     for a in m.actions:
-        for f in a.prec & fluents:
-            ups.add(ModelUpdate(PRECONDITION_LITERAL, a.name, f))
+        name = a.name
+        ups.update((2, name, f) for f in a.prec & fluents)
         for e in a.effects:
-            for f in e.condition & fluents:
-                ups.add(ModelUpdate(EFFECT_CONDITION_LITERAL, a.name, f))
-            for f in e.adds & fluents:
-                ups.add(ModelUpdate(ADD_EFFECT_LITERAL, a.name, f))
-            for f in e.dels & fluents:
-                ups.add(ModelUpdate(DEL_EFFECT_LITERAL, a.name, f))
-    return sorted(ups, key=ModelUpdate.sort_key)
+            ups.update((3, name, f) for f in e.condition & fluents)
+            ups.update((4, name, f) for f in e.adds & fluents)
+            ups.update((5, name, f) for f in e.dels & fluents)
+    return ups
 
 
 def find_explanatory_fluents(lat: AbstractionLattice,
@@ -320,9 +309,9 @@ def find_explanatory_fluents(lat: AbstractionLattice,
     # update sets of disjoint groups are disjoint, so one pass over the
     # root yields every group's updates
     owner = {f: g for g in universe for f in lat.groups[g].members}
-    listed: dict[str, list[ModelUpdate]] = {g: [] for g in universe}
+    listed: dict[str, list[tuple]] = {g: [] for g in universe}
     for u in _updates_for_fluents(lat.root, frozenset(owner)):
-        listed[owner[u.fluent]].append(u)
+        listed[owner[u[2]]].append(u)
 
     heap: list[tuple[int, int, tuple[str, ...], int]] = []
     for i, g in enumerate(universe):
@@ -331,9 +320,9 @@ def find_explanatory_fluents(lat: AbstractionLattice,
         cost, size, names, frontier = heapq.heappop(heap)
         candidate = frozenset(names)
         if _explains(lat, members, candidate):
-            updates = sorted(itertools.chain.from_iterable(listed[g] for g in names),
-                             key=ModelUpdate.sort_key)
-            return ExplanatorySet(candidate, cost, tuple(updates))
+            updates = sorted(itertools.chain.from_iterable(listed[g] for g in names))
+            return ExplanatorySet(candidate, cost, tuple(
+                ModelUpdate(_KINDS[kind], action, f) for kind, action, f in updates))
         for j in range(frontier + 1, len(universe)):
             g = universe[j]
             heapq.heappush(heap, (cost + len(listed[g]), size + 1, names + (g,), j))

@@ -82,14 +82,16 @@ class ConstraintFsa:
                 raise AdviceError("transition endpoint is not a state")
 
     def _label_reachable(self) -> frozenset[str]:
+        targets: dict[str, set[str]] = {}
+        for t in self.transitions:
+            targets.setdefault(t.source, set()).add(t.target)
         seen = {self.initial}
         frontier = [self.initial]
         while frontier:
-            s = frontier.pop()
-            for t in self.transitions:
-                if t.source == s and t.target not in seen:
-                    seen.add(t.target)
-                    frontier.append(t.target)
+            for target in targets.get(frontier.pop(), ()):
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
         return frozenset(seen)
 
     def warn_unreachable_accepting(self) -> None:

@@ -124,8 +124,11 @@ def cmd_compile_advice(args) -> int:
         + write_problem(cm.compiled, "constrained", "constrained")
         + "\n"
     )
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote constrained model to {args.out}")
     return EXIT_OK
 

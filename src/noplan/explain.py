@@ -24,9 +24,9 @@ collapse and the base model is solvable, else the goal conjuncts).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 from .abstraction import (
     ADD_EFFECT_LITERAL,
@@ -47,7 +47,7 @@ from .abstraction import (
 )
 from .achievability import FailedSubgoal, first_unachievable
 from .advice import ConstrainedModel, compose, parse_advice, strip_meta
-from .errors import ModelUnsolvableError, PipelineError
+from .errors import InputError, ModelUnsolvableError, PipelineError
 from .landmarks import Landmark, LandmarkGraph, extract_landmarks
 from .model import (
     DnfFormula,
@@ -262,13 +262,16 @@ def _self_verify(members, targets, explanatory: ExplanatorySet, limits: SearchLi
 def _dump(directory: str, stem: str, model: PlanningModel) -> None:
     # a failed subgoal's stem is subgoal-<member position>-<landmark id>,
     # since landmark ids are per graph
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, f"{stem}-domain.pddl"), "w") as fh:
-        fh.write(write_domain(model, stem))
-        fh.write("\n")
-    with open(os.path.join(directory, f"{stem}-problem.pddl"), "w") as fh:
-        fh.write(write_problem(model, stem, stem))
-        fh.write("\n")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, f"{stem}-domain.pddl"), "w") as fh:
+            fh.write(write_domain(model, stem))
+            fh.write("\n")
+        with open(os.path.join(directory, f"{stem}-problem.pddl"), "w") as fh:
+            fh.write(write_problem(model, stem, stem))
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write the compiled models to {directory}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -426,4 +429,42 @@ def _update_lines(table: FluentTable, updates) -> list[str]:
 
 
 def machine_json(e: Explanation) -> str:
-    return json.dumps(_render_machine(e), indent=2, sort_keys=True)
+    """The machine rendering, byte for byte as
+    ``json.dumps(render(e, "machine"), indent=2, sort_keys=True)`` writes it."""
+    out: list[str] = []
+    _write_json(_render_machine(e), "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append value as indented JSON with sorted keys to out; newline is
+    the line break and indentation of value's own line. Only the types a
+    rendering holds are written (dicts with string keys, lists, strings,
+    ints, bools and None); any other raises TypeError."""
+    if type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif value is None or type(value) is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif (type(value) is list or type(value) is dict) and not value:
+        out.append("[]" if type(value) is list else "{}")
+    elif type(value) is list:
+        inner = newline + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write_json(item, inner, out)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif type(value) is dict:
+        inner = newline + "  "
+        out.append("{")
+        for key in sorted(value):
+            # the encoder raises TypeError on a key that is not a string
+            out += (inner, encode_basestring_ascii(key), ": ")
+            _write_json(value[key], inner, out)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

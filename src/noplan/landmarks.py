@@ -109,6 +109,10 @@ def extract_landmarks(m: PlanningModel) -> LandmarkGraph:
     Solvability is the caller's to establish: m is not searched here.
     """
     static = _static_fluents(m)
+    achievers_of: dict[int, set[int]] = {}  # fluent -> positions in m.actions
+    for i, a in enumerate(m.actions):
+        for f in a.adds:
+            achievers_of.setdefault(f, set()).add(i)
     landmarks: list[Landmark] = []
     by_formula: dict[frozenset, Landmark] = {}
     orderings: set[Ordering] = set()
@@ -152,7 +156,8 @@ def extract_landmarks(m: PlanningModel) -> LandmarkGraph:
         if lm.holds_in_init:
             continue
         targets = lm.formula.fluents
-        achievers = _achievers(m, targets)
+        positions = {i for f in targets for i in achievers_of.get(f, ())}
+        achievers = [m.actions[i] for i in sorted(positions)]
         reachable = relaxed_reachable(m, banned={a.name for a in achievers})
         feasible = []
         for a in achievers:
@@ -163,7 +168,7 @@ def extract_landmarks(m: PlanningModel) -> LandmarkGraph:
             continue
         single = len(achievers) == 1
         for cand in _candidates(m, feasible, targets, static):
-            if not holds(m.init, cand) and not _confirmed(m, cand):
+            if not holds(m.init, cand) and not _confirmed(m, cand, achievers_of):
                 continue
             pred = register(cand)
             if pred.id == lm.id or reaches(lm.id, pred.id):
@@ -214,14 +219,11 @@ def _candidates(m, feasible, targets, static):
     return out
 
 
-def _confirmed(m: PlanningModel, formula: DnfFormula) -> bool:
-    """Sound landmark test: no relaxed plan survives removing all achievers."""
-    banned = {a.name for a in _achievers(m, formula.fluents)}
+def _confirmed(m: PlanningModel, formula: DnfFormula, achievers_of) -> bool:
+    """Sound landmark test: no relaxed plan survives removing all achievers
+    (achievers_of: each fluent's achiever positions in m.actions)."""
+    banned = {m.actions[i].name for f in formula.fluents for i in achievers_of.get(f, ())}
     return not m.goal <= relaxed_reachable(m, banned=banned)
-
-
-def _achievers(m: PlanningModel, targets: frozenset[int]):
-    return [a for a in m.actions if any(e.adds & targets for e in a.effects)]
 
 
 def _static_fluents(m: PlanningModel) -> frozenset[int]:

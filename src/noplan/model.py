@@ -303,15 +303,18 @@ def maintain_complements(a: Action, complements: dict[int, int], table: FluentTa
     conditions, so the action is rejected with ``error``; one whose
     conditions are not jointly reachable under the delete relaxation
     (``reachable()``, an over-approximation suffices) never fires
-    alongside and changes nothing.
+    alongside and changes nothing. An action whose effects touch no
+    complemented fluent is returned as it is.
     """
     effects = []
+    changed = False
     for e in a.effects:
         gone = [complements[p] for p in e.adds if p in complements]
         deleted = [p for p in e.dels if p in complements]
         if not gone and not deleted:
             effects.append(e)
             continue
+        changed = True
         adds = set(e.adds)
         dels = set(e.dels).union(gone)
         for p in deleted:
@@ -327,7 +330,7 @@ def maintain_complements(a: Action, complements: dict[int, int], table: FluentTa
                 )
             adds.add(n)
         effects.append(Effect(e.condition, frozenset(adds), frozenset(dels)))
-    return Action(a.name, a.prec, tuple(effects))
+    return Action(a.name, a.prec, tuple(effects)) if changed else a
 
 
 @dataclass(frozen=True)

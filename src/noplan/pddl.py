@@ -8,11 +8,14 @@ and in every effect touching p, so everything downstream is positive.
 An action that deletes p in one effect and may add it back in another
 leaves not-p undetermined and is rejected with a PddlError.
 
-Grounding binds schema parameters over type-consistent objects and
-drops a partial binding as soon as a positive precondition on a static
-predicate (one that appears in no schema effect) is false in the
-initial state, so only surviving actions are instantiated; it interns
-exactly the fluents that occur in the surviving model. Negated
+Grounding binds schema parameters one at a time by a join over the
+initial state: a parameter tested by a positive precondition on a
+static predicate (one that appears in no schema effect) takes its
+candidates from an index of that predicate's initial facts, keyed by
+the values bound before it, so only surviving actions are instantiated.
+Atoms get provisional ids as they are instantiated, and one sort of the
+distinct atoms gives the final ids, so exactly the fluents that occur
+in the surviving model are interned, in sorted order. Negated
 occurrences of static predicates are kept: an action permanently
 blocked by such a fluent is still part of the model and of anything
 derived from it.
@@ -24,6 +27,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PddlError
 from .model import Action, Effect, FluentTable, PlanningModel, maintain_complements
@@ -37,8 +41,7 @@ REQUIREMENTS = {":strips", ":typing", ":negative-preconditions", ":conditional-e
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     text: str
     line: int
     col: int
@@ -426,14 +429,18 @@ def _parse_schema(section, predicates, types) -> ActionSchema:
             effects = tuple(_parse_effect(value, predicates))
         else:
             raise _err(key, f"unsupported action keyword {kw}")
+    schema = ActionSchema(name, params, pos_pre, neg_pre, effects)
     bound = {var for var, _ in params}
-    for atom in itertools.chain(
-        pos_pre, neg_pre, *((e.condition + e.adds + e.dels) for e in effects)
-    ):
+    for atom in _schema_atoms(schema):
         for arg in atom.args:
             if arg.startswith("?") and arg not in bound:
                 raise PddlError(f"unbound variable {arg} in action {name}")
-    return ActionSchema(name, params, pos_pre, neg_pre, effects)
+    return schema
+
+
+def _schema_atoms(schema: ActionSchema):
+    return itertools.chain(schema.pos_pre, schema.neg_pre,
+                           *((e.condition + e.adds + e.dels) for e in schema.effects))
 
 
 def _check_ground_atoms(lifted: LiftedModel) -> None:
@@ -450,10 +457,7 @@ def _check_ground_atoms(lifted: LiftedModel) -> None:
                         f"type {t} of predicate {atom.pred} in {where}"
                     )
     for schema in lifted.schemas:
-        for atom in itertools.chain(
-            schema.pos_pre, schema.neg_pre,
-            *((e.condition + e.adds + e.dels) for e in schema.effects),
-        ):
+        for atom in _schema_atoms(schema):
             for arg in atom.args:
                 if not arg.startswith("?") and arg not in lifted.objects:
                     raise PddlError(
@@ -468,121 +472,77 @@ def _check_ground_atoms(lifted: LiftedModel) -> None:
 def ground(lifted: LiftedModel) -> PlanningModel:
     """Instantiate a lifted model into a grounded PlanningModel.
 
-    Parameter bindings are built level by level, one parameter at a
-    time, and filtered on static facts before any action is built: a
-    partial binding is extended only while every positive precondition
-    on a static predicate whose variables it has bound holds in the
-    initial state, so only surviving actions are instantiated. Fluents
-    are interned once, in sorted order, and every atom is mapped
-    through that one id table. Negative preconditions, conditions and
-    goals are replaced by complement fluents; the fluent set is exactly
-    what occurs in the surviving actions, the initial state and the
-    goal, with complement pairs kept whole.
+    Each schema atom is compiled once into its predicate and a template
+    of slots into the binding values (the schema's constants, then its
+    parameters), which ``_bindings`` draws by a join over the static
+    init facts. Atoms get provisional ids as they are instantiated; one
+    sort of the distinct atoms gives the final ids, in sorted order.
+    Negative preconditions, conditions and goals become complement
+    fluents; the fluents are exactly those of the surviving actions, the
+    initial state and the goal, with complement pairs kept whole.
     """
     static_preds = _static_predicates(lifted)
     init_atoms = {(a.pred, a.args) for a in lifted.init}
-    grounded: list[_GroundAction] = []
+    init_args: dict[str, list[tuple[str, ...]]] = {}
+    for pred, args in init_atoms:
+        init_args.setdefault(pred, []).append(args)
+    # each distinct atom's provisional id, in the order first met
+    provisional: dict[tuple[str, tuple[str, ...]], int] = {}
+    negated: set[int] = set()
+    # (name, positive, negative, clauses) per action, in provisional ids
+    grounded = []
     for schema in lifted.schemas:
-        variables = [var for var, _ in schema.params]
-        for combo in _bindings(lifted, schema, static_preds, init_atoms):
-            grounded.append(_instantiate(schema, dict(zip(variables, combo)), combo))
-    return _assemble(lifted, grounded, init_atoms)
+        consts = tuple(dict.fromkeys(arg for atom in _schema_atoms(schema)
+                                     for arg in atom.args if not arg.startswith("?")))
+        slot = {arg: i for i, arg in enumerate(consts)}
+        slot.update((var, len(consts) + i) for i, (var, _) in enumerate(schema.params))
+        pos = _templates(schema.pos_pre, slot)
+        neg = _templates(schema.neg_pre, slot)
+        clauses = [(_templates(e.condition, slot), _templates(e.adds, slot),
+                    _templates(e.dels, slot)) for e in schema.effects]
+        for combo in _bindings(lifted, schema, consts, pos, static_preds, init_atoms, init_args):
+            values = consts + combo
+            name = schema.name + "_" + "_".join(combo) if combo else schema.name
+            neg_ids = _instances(neg, values, provisional)
+            negated.update(neg_ids)
+            grounded.append((name, _instances(pos, values, provisional), neg_ids, [
+                tuple(_instances(t, values, provisional) for t in clause) for clause in clauses]))
+    init_ids = [provisional.setdefault(key, len(provisional)) for key in init_atoms]
+    goal_pos = [provisional.setdefault((a.pred, a.args), len(provisional))
+                for a in lifted.goal_pos]
+    goal_neg = [provisional.setdefault((a.pred, a.args), len(provisional))
+                for a in lifted.goal_neg]
+    negated.update(goal_neg)
 
-
-def _bindings(lifted: LiftedModel, schema: ActionSchema, static_preds,
-              init_atoms) -> list[tuple[str, ...]]:
-    """Parameter tuples of schema whose positive static preconditions hold.
-
-    The tuples are built one parameter at a time, in declaration order
-    over objects_of in its sorted order, so they come out in
-    itertools.product order. Each positive precondition on a static
-    predicate becomes a template of parameter positions and constants,
-    tested while the level of its last variable is built: a tuple that
-    fails it is not extended, so no level holds its unfiltered product.
-    A static atom without variables is tested once, and a false one
-    empties the schema. Negated static preconditions are never grounds
-    for pruning: an action permanently disabled by them stays in the
-    model so that abstraction can reason about why it is disabled.
-    Explicitly ground schemas (no parameters) are kept verbatim.
-    """
-    if not schema.params:
-        return [()]
-    position = {var: i for i, (var, _) in enumerate(schema.params)}
-    # the (predicate, template) tests of each level; a template entry is
-    # a parameter position (int) or a constant (str)
-    checks: list[list[tuple[str, tuple]]] = [[] for _ in schema.params]
-    for atom in schema.pos_pre:
-        if atom.pred not in static_preds:
-            continue
-        bound_at = [position[arg] for arg in atom.args if arg in position]
-        if bound_at:
-            template = tuple(position.get(arg, arg) for arg in atom.args)
-            checks[max(bound_at)].append((atom.pred, template))
-        elif (atom.pred, atom.args) not in init_atoms:
-            return []
-    combos: list[tuple[str, ...]] = [()]
-    for (_, typ), tests in zip(schema.params, checks):
-        objects = lifted.objects_of(typ)
-        extended = []
-        for combo in combos:
-            for obj in objects:
-                candidate = combo + (obj,)
-                for pred, template in tests:
-                    args = tuple([candidate[x] if type(x) is int else x for x in template])
-                    if (pred, args) not in init_atoms:
-                        break
-                else:
-                    extended.append(candidate)
-        combos = extended
-    return combos
-
-
-def _assemble(lifted: LiftedModel, grounded: list[_GroundAction],
-              init_atoms) -> PlanningModel:
-    """The PlanningModel of the grounded actions, with complements compiled in."""
     table = FluentTable()
-    occurring: set[tuple[str, tuple[str, ...]]] = set()
-    negated: set[tuple[str, tuple[str, ...]]] = set()
-    for ga in grounded:
-        occurring.update(ga.pos_pre)
-        negated.update(ga.neg_pre)
-        for cond, adds, dels in ga.effects:
-            occurring.update(cond)
-            occurring.update(adds)
-            occurring.update(dels)
-    occurring.update(init_atoms)
-    occurring.update((a.pred, a.args) for a in lifted.goal_pos)
-    negated.update((a.pred, a.args) for a in lifted.goal_neg)
-    occurring.update(negated)
-
-    ids = {key: table.intern(*key) for key in sorted(occurring)}
+    final = [0] * len(provisional)
+    for key in sorted(provisional):
+        final[provisional[key]] = table.intern(*key)
     complement: dict[int, int] = {}
-    for key in sorted(negated):
-        pos = ids[key]
-        complement[pos] = table.ensure_complement(pos, PddlError)
+    for p in sorted(final[p] for p in negated):
+        complement[p] = table.ensure_complement(p, PddlError)
 
-    init = {ids[k] for k in init_atoms}
-    init = frozenset(init | {neg for pos, neg in complement.items() if pos not in init})
+    init = {final[p] for p in init_ids}
+    init = frozenset(init | {neg for p, neg in complement.items() if p not in init})
 
     base = []
     names = set()
-    for ga in grounded:
-        prec = {ids[k] for k in ga.pos_pre}
-        prec.update(complement[ids[k]] for k in ga.neg_pre)
+    for name, pos_ids, neg_ids, effect_ids in grounded:
+        if name in names:
+            raise PddlError(f"duplicate grounded action name {name}")
+        names.add(name)
+        prec = {final[p] for p in pos_ids}
+        prec.update([complement[final[p]] for p in neg_ids])
         effects = []
-        for cond, adds, dels in ga.effects:
-            add_ids = frozenset([ids[k] for k in adds])
+        for cond, adds, dels in effect_ids:
+            add_ids = frozenset([final[p] for p in adds])
             # adds win inside a single clause
-            del_ids = frozenset([ids[k] for k in dels]) - add_ids
-            if cond or add_ids or del_ids or len(ga.effects) == 1:
-                effects.append(Effect(frozenset([ids[k] for k in cond]), add_ids, del_ids))
-        if ga.name in names:
-            raise PddlError(f"duplicate grounded action name {ga.name}")
-        names.add(ga.name)
-        base.append(Action(ga.name, frozenset(prec), tuple(effects)))
+            del_ids = frozenset([final[p] for p in dels]) - add_ids
+            if cond or add_ids or del_ids or len(effect_ids) == 1:
+                effects.append(Effect(frozenset([final[p] for p in cond]), add_ids, del_ids))
+        base.append(Action(name, frozenset(prec), tuple(effects)))
 
-    goal = frozenset({ids[(a.pred, a.args)] for a in lifted.goal_pos}
-                     | {complement[ids[(a.pred, a.args)]] for a in lifted.goal_neg})
+    goal = frozenset([final[p] for p in goal_pos] + [complement[final[p]] for p in goal_neg])
     fluents = frozenset(range(len(table)))
 
     def naive_reachable():
@@ -607,28 +567,75 @@ def _assemble(lifted: LiftedModel, grounded: list[_GroundAction],
     return PlanningModel(table, fluents, tuple(base), init, goal)
 
 
-@dataclass
-class _GroundAction:
-    name: str
-    pos_pre: set[tuple[str, tuple[str, ...]]]
-    neg_pre: set[tuple[str, tuple[str, ...]]]
-    effects: list[tuple[set, set, set]]
+def _templates(atoms, slot) -> list[tuple[str, tuple[int, ...]]]:
+    """Each atom as its predicate and the binding-value slots of its arguments."""
+    return [(atom.pred, tuple([slot[arg] for arg in atom.args])) for atom in atoms]
 
 
-def _instantiate(schema: ActionSchema, binding: dict[str, str], combo) -> _GroundAction:
-    def g(atom: LiftedAtom):
-        return (atom.pred, tuple(binding.get(a, a) for a in atom.args))
+def _instances(templates, values, provisional) -> list[int]:
+    """The provisional ids of templates instantiated with values; an atom
+    not met before is numbered next."""
+    return [provisional.setdefault((pred, tuple([values[x] for x in template])), len(provisional))
+            for pred, template in templates]
 
-    name = schema.name if not combo else schema.name + "_" + "_".join(combo)
-    return _GroundAction(
-        name=name,
-        pos_pre={g(a) for a in schema.pos_pre},
-        neg_pre={g(a) for a in schema.neg_pre},
-        effects=[
-            ({g(a) for a in e.condition}, {g(a) for a in e.adds}, {g(a) for a in e.dels})
-            for e in schema.effects
-        ],
-    )
+
+def _bindings(lifted: LiftedModel, schema: ActionSchema, consts, pos, static_preds,
+              init_atoms, init_args) -> list[tuple[str, ...]]:
+    """Parameter tuples of schema whose positive static preconditions hold.
+
+    Parameters are bound one at a time, in declaration order, and each
+    positive static precondition (template in ``pos``) is tested at its
+    last parameter's level. A level's first test is a join: candidates
+    come from an index of that predicate's init facts keyed by the
+    earlier slots' values, of the parameter's type only, each hit list
+    sorted (objects_of order), so tuples come out in itertools.product
+    order. A variable-free static atom is tested once; a false one
+    empties the schema. Negated static preconditions never prune: an
+    action disabled by them stays in the model so that abstraction can
+    reason about why. Schemas without parameters are kept verbatim.
+    """
+    if not schema.params:
+        return [()]
+    first = len(consts)  # the slot of the first parameter
+    checks: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in schema.params]
+    for (pred, template), atom in zip(pos, schema.pos_pre):
+        if pred not in static_preds:
+            continue
+        level = max(template, default=-1) - first
+        if level >= 0:
+            checks[level].append((pred, template))
+        elif (pred, atom.args) not in init_atoms:
+            return []
+    combos: list[tuple[str, ...]] = [()]
+    for level, ((_, typ), tests) in enumerate(zip(schema.params, checks)):
+        objects = lifted.objects_of(typ)
+        if not tests:
+            combos = [combo + (obj,) for combo in combos for obj in objects]
+            continue
+        (pred, template), rest = tests[0], tests[1:]
+        here = first + level
+        at = [j for j, x in enumerate(template) if x == here]
+        before = [j for j, x in enumerate(template) if x < here]
+        allowed = set(objects)
+        index: dict[tuple[str, ...], list[str]] = {}
+        for args in init_args.get(pred, ()):
+            obj = args[at[0]]
+            if obj in allowed and all(args[j] == obj for j in at):
+                index.setdefault(tuple([args[j] for j in before]), []).append(obj)
+        for hits in index.values():
+            hits.sort()
+        extended = []
+        for combo in combos:
+            values = consts + combo
+            for obj in index.get(tuple([values[template[j]] for j in before]), ()):
+                candidate = combo + (obj,)
+                if rest:
+                    full = consts + candidate
+                    if not all((p, tuple([full[x] for x in t])) in init_atoms for p, t in rest):
+                        continue
+                extended.append(candidate)
+        combos = extended
+    return combos
 
 
 def _static_predicates(lifted: LiftedModel) -> set[str]:

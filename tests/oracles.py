@@ -24,7 +24,7 @@ from noplan.abstraction import (
     project_model,
 )
 from noplan.advice import ActionLabel, ConstraintFsa
-from noplan.errors import InvalidPlanError, NoplanError
+from noplan.errors import InvalidPlanError, NoplanError, PddlError
 from noplan.landmarks import GREEDY_NECESSARY, NATURAL, NECESSARY, LandmarkGraph
 from noplan.model import (
     Action,
@@ -429,6 +429,21 @@ def landmark_holds_on_all_plans(m: PlanningModel, formula, max_len: int) -> bool
     return True
 
 
+_KIND_ORDER = {
+    INIT_LITERAL: 0,
+    GOAL_LITERAL: 1,
+    PRECONDITION_LITERAL: 2,
+    EFFECT_CONDITION_LITERAL: 3,
+    ADD_EFFECT_LITERAL: 4,
+    DEL_EFFECT_LITERAL: 5,
+}
+
+
+def update_sort_key(u: ModelUpdate):
+    """The reported order of model updates: by kind, action name, fluent id."""
+    return (_KIND_ORDER[u.kind], u.action or "", u.fluent)
+
+
 def diff_models(abs_m: PlanningModel, conc_m: PlanningModel) -> list[ModelUpdate]:
     """One update per occurrence of a projected fluent in the concrete model.
 
@@ -447,7 +462,7 @@ def diff_models(abs_m: PlanningModel, conc_m: PlanningModel) -> list[ModelUpdate
             components.append((DEL_EFFECT_LITERAL, a.name, e.dels))
     updates = {ModelUpdate(kind, action, f)
                for kind, action, fluents in components for f in fluents if f in restored}
-    return sorted(updates, key=ModelUpdate.sort_key)
+    return sorted(updates, key=update_sort_key)
 
 
 def brute_force_explanations(lat, members):
@@ -475,7 +490,14 @@ def ground_by_product(lifted: pddl.LiftedModel) -> PlanningModel:
 
     An instantiation with parameters is dropped when one of its positive
     preconditions is on a static predicate and false in the initial
-    state; the survivors go through the same model assembly as ground.
+    state. The survivors are assembled here, without pddl's grounding
+    code: every occurring atom is interned in sorted order, each negated
+    one then gets its complement not-p in sorted order, adds win inside
+    a clause, and each clause that adds p deletes not-p while each that
+    deletes p adds not-p, unless an effect adding p fires whenever it
+    does. An adding effect that can fire alongside without always doing
+    so (judged by relaxed reachability with every complement added where
+    its atom is deleted) raises PddlError, as ground does.
     """
     static_preds = pddl._static_predicates(lifted)
     init_atoms = {(a.pred, a.args) for a in lifted.init}
@@ -484,12 +506,74 @@ def ground_by_product(lifted: pddl.LiftedModel) -> PlanningModel:
         domains = [lifted.objects_of(t) for _, t in schema.params]
         for combo in itertools.product(*domains):
             binding = {var: obj for (var, _), obj in zip(schema.params, combo)}
-            ga = pddl._instantiate(schema, binding, combo)
-            if schema.params and any(key[0] in static_preds and key not in init_atoms
-                                     for key in ga.pos_pre):
+
+            def atoms(seq):
+                return {(a.pred, tuple(binding.get(arg, arg) for arg in a.args)) for a in seq}
+
+            pos = atoms(schema.pos_pre)
+            if combo and any(p in static_preds and (p, args) not in init_atoms
+                             for p, args in pos):
                 continue
-            grounded.append(ga)
-    return pddl._assemble(lifted, grounded, init_atoms)
+            clauses = [(atoms(e.condition), atoms(e.adds), atoms(e.dels)) for e in schema.effects]
+            grounded.append(("_".join((schema.name,) + combo), pos, atoms(schema.neg_pre),
+                             clauses))
+
+    goal_pos = {(a.pred, a.args) for a in lifted.goal_pos}
+    goal_neg = {(a.pred, a.args) for a in lifted.goal_neg}
+    negated = set(goal_neg)
+    occurring = init_atoms | goal_pos | goal_neg
+    for _, pos, neg, clauses in grounded:
+        negated |= neg
+        occurring |= pos | neg
+        for cond, adds, dels in clauses:
+            occurring |= cond | adds | dels
+    table = FluentTable()
+    for key in sorted(occurring):
+        table.intern(*key)
+    complement = {}
+    for pred, args in sorted(negated):
+        if table.get("not-" + pred, args) is not None:
+            raise PddlError(f"the complement of {pred} would be named not-{pred}")
+        p, n = table.id_of(pred, args), table.intern("not-" + pred, args)
+        table.register_complement(p, n)
+        complement[p] = n
+
+    def ids(keys):
+        return frozenset(table.id_of(*key) for key in keys)
+
+    actions = []
+    for name, pos, neg, clauses in grounded:
+        prec = ids(pos) | {complement[f] for f in ids(neg)}
+        effects = []
+        for cond, adds, dels in clauses:
+            if cond or adds or dels - adds or len(clauses) == 1:
+                effects.append(Effect(ids(cond), ids(adds), ids(dels - adds)))
+        actions.append(Action(name, prec, tuple(effects)))
+    init = ids(init_atoms)
+    init |= {n for p, n in complement.items() if p not in init}
+    goal = ids(goal_pos) | {complement[f] for f in ids(goal_neg)}
+    fluents = frozenset(range(len(table)))
+    naive = tuple(Action(a.name, a.prec, tuple(
+        Effect(e.condition, e.adds | {complement[p] for p in e.dels if p in complement}, e.dels)
+        for e in a.effects)) for a in actions)
+    reachable = relaxed_reachable(PlanningModel(table, fluents, naive, init, goal))
+
+    def maintained(a: Action) -> Action:
+        effects = []
+        for e in a.effects:
+            adds = set(e.adds)
+            dels = set(e.dels) | {complement[p] for p in e.adds if p in complement}
+            for p in e.dels & complement.keys():
+                adders = [o for o in a.effects if p in o.adds]
+                if any(o.condition <= e.condition | a.prec for o in adders):
+                    continue
+                if any(e.condition | o.condition | a.prec <= reachable for o in adders):
+                    raise PddlError(f"action {a.name} deletes and may add {p}")
+                adds.add(complement[p])
+            effects.append(Effect(e.condition, frozenset(adds), frozenset(dels)))
+        return Action(a.name, a.prec, tuple(effects))
+
+    return PlanningModel(table, fluents, tuple(maintained(a) for a in actions), init, goal)
 
 
 def same_content(a: PlanningModel, b: PlanningModel) -> bool:

@@ -38,6 +38,7 @@ from .oracles import (
     enumerate_plans,
     project_by_rebuild,
     same_content,
+    update_sort_key,
 )
 from .random_models import unsolvable_corpus
 from .test_search import micro_models
@@ -654,7 +655,7 @@ def test_explanatory_updates_equal_member_diffs():
         for node in members:
             conc = concretize(lat, node, found.groups & node.projected)
             diffs |= set(diff_models(node.model, conc.model))
-        assert found.updates == tuple(sorted(diffs, key=ModelUpdate.sort_key)), label
+        assert found.updates == tuple(sorted(diffs, key=update_sort_key)), label
         assert found.cost == len(found.updates), label
         checked += 1
     assert checked >= 40

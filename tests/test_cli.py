@@ -608,6 +608,39 @@ def test_compile_advice_takes_no_budget(tmp_path, capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_compile_advice_unwritable_out_exit_two(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "sigma.pddl"
+    code = main([
+        "compile-advice",
+        "--domain", str(MINIROVER / "domain.pddl"),
+        "--problem", str(MINIROVER / "problem.pddl"),
+        "--advice", str(MINIROVER / "advice-block-first-move.json"),
+        "--out", str(out_file),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out_file}") and err.count("\n") == 1
+    assert not out_file.parent.exists()
+
+
+def test_explain_dump_under_a_regular_file_exit_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([
+        "explain",
+        "--domain", str(MINIROVER / "domain.pddl"),
+        "--problem", str(MINIROVER / "problem.pddl"),
+        "--lattice", str(MINIROVER / "lattice.json"),
+        "--dump-compiled", str(blocker / "dump"),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot write the compiled models to "
+                                   f"{blocker / 'dump'}")
+    assert captured.err.count("\n") == 1
+
+
 def test_module_entry_point():
     # run from the directory that holds the package under test, which
     # python -m puts on the module path

@@ -3,6 +3,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noplan import abstraction, achievability, landmarks
 from noplan import search as search_module
@@ -14,6 +16,7 @@ from noplan.explain import (
     STATUS_EXPLAINED,
     STATUS_SOLVABLE,
     STATUS_TOP_UNSOLVABLE,
+    _write_json,
     exemplar_failure,
     explain,
     render,
@@ -407,3 +410,33 @@ def test_root_target_verification_builds_its_own_relaxed_set(monkeypatch, miniro
     assert e.status == STATUS_EXPLAINED
     assert e.failed.level.projected == frozenset()
     assert sum(model is m for model in calls) == 2
+
+
+def _written(value) -> str:
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+_json_strings = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", 'a"b\\c'])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _json_strings,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_json_strings, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_standard_encoder(value):
+    """machine_json's writer is json.dumps(indent=2, sort_keys=True),
+    byte for byte, on every type a rendering holds."""
+    assert _written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": {"b"}}])
+def test_json_writer_rejects_types_a_rendering_never_holds(value):
+    with pytest.raises(TypeError):
+        _written(value)
