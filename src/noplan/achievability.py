@@ -45,7 +45,7 @@ from .landmarks import (
     linearize,
 )
 from .model import Action, DnfFormula, Effect, PlanningModel, holds
-from .search import SearchLimits, decide_solvable, decided
+from .search import UNSOLVABLE, SearchLimits, SearchResult, decide_solvable, decided
 
 logger = logging.getLogger(__name__)
 
@@ -54,13 +54,13 @@ _CLAUSE_CAP = 64
 
 @dataclass(frozen=True)
 class FailedSubgoal:
-    """The first landmark in a linearization whose compilation is unsolvable."""
+    """The first unachievable landmark of a linearization, or the goal."""
 
     landmark: Landmark
     achieved_prefix: tuple[Landmark, ...]
     is_final_goal: bool = False
     level: object | None = None  # lattice node, attached by the pipeline
-    # the compilation found unsolvable
+    # the scan's compilation for this goal; searched unless it is the final goal
     compiled: PlanningModel | None = field(default=None, compare=False, repr=False)
 
 
@@ -203,7 +203,7 @@ def final_goal_landmark(m: PlanningModel, lg: LandmarkGraph) -> tuple[LandmarkGr
     """Extend lg with a pseudo-landmark for the whole goal conjunction.
 
     The pseudo-landmark is naturally ordered after every existing
-    landmark; it backs the completeness fallback of the failure scan.
+    landmark; the failure scan reports it when all others stay achievable.
     """
     next_id = max((lm.id for lm in lg.landmarks), default=-1) + 1
     pseudo = Landmark(
@@ -217,38 +217,30 @@ def final_goal_landmark(m: PlanningModel, lg: LandmarkGraph) -> tuple[LandmarkGr
     return LandmarkGraph(lg.landmarks + (pseudo,), tuple(orderings)), pseudo
 
 
-def first_unachievable(m: PlanningModel, lg: LandmarkGraph,
+def first_unachievable(m: PlanningModel, lg: LandmarkGraph, proof: SearchResult,
                        limits: SearchLimits | None = None) -> FailedSubgoal:
     """Scan lg's landmarks in its linear order for the first unachievable one.
 
-    The model must be unsolvable. When every extracted landmark is still
-    achievable, the goal conjunction itself is tested and returned as a
-    final-goal failure, which is guaranteed to trigger on an unsolvable
-    model. The graph is compiled once; each step only swaps the goal,
-    and every step searches on one set of search tables, which do not
-    depend on the goal. The failing step's model, which equals
-    compile_achievability of its landmark on the extended graph, is
-    returned as ``compiled``.
+    proof must decide m unsolvable (else ModelError). When every landmark
+    stays achievable, proof alone makes the goal conjunction the failure;
+    its compilation is not searched, and may be solvable under conditional
+    deletes. The graph is compiled once; each step swaps the goal and
+    searches on one set of search tables, which do not depend on it. The
+    failure's ``compiled`` equals compile_achievability of its landmark on
+    the graph extended by final_goal_landmark.
     """
+    if proof is None or proof.status != UNSOLVABLE:
+        raise ModelError("the failure scan needs a proof that the model is unsolvable")
     seq = linearize(lg)
     extended, pseudo = final_goal_landmark(m, lg)
     shared = compile_achievability(m, extended, pseudo)
     tables: dict = {}
-    for i, lm in enumerate(seq + [pseudo]):
+    for i, lm in enumerate(seq):
         goal = frozenset({shared.table.id_of(f"first-time-lm{lm.id}")})
         step = shared.with_goal(goal)
         result = decided(decide_solvable(step, limits, tables),
                          f"achievability of landmark {lm.id}")
         if not result.solvable:
-            return FailedSubgoal(
-                landmark=lm,
-                achieved_prefix=tuple(seq[:i]),
-                is_final_goal=lm.id == pseudo.id,
-                compiled=step,
-            )
-    # only reachable when conditional-effect interference makes the
-    # tracking of the goal conjunction over-approximate; the model is
-    # still unsolvable, so the goal itself is the unachievable subgoal
-    logger.warning("achievability tracking over-approximated the goal conjunction")
+            return FailedSubgoal(landmark=lm, achieved_prefix=tuple(seq[:i]), compiled=step)
     return FailedSubgoal(landmark=pseudo, achieved_prefix=tuple(seq), is_final_goal=True,
-                         compiled=step)
+                         compiled=shared)

@@ -5,15 +5,16 @@ effective problem is unsolvable, build the abstraction lattice, take the
 solvable maximal elements, search for the cheapest group set whose
 restoration breaks all of them, then extract landmarks one level up and
 scan for the first subgoal that the explanatory level can no longer
-achieve. Every non-degenerate explanation is self-verified before it is
-returned: fresh searches re-check each explanatory level and the
-achievability compilation of the headline subgoal. Each builds its own
-search tables, so none answers from a table of the search whose claim
-it checks. The subgoal check searches the compilation the scan proved
-unsolvable, right after the headline member's scan. The lattice decides
-its nodes on projections of the root's search masks, while verification
-searches each explanatory level's model, projected from the root and
-compiled on its own, so the two decisions share no projection code.
+achieve; when every landmark stays achievable, the goal conjunction
+fails on the lattice's proof that the level is unsolvable. Every
+non-degenerate explanation is self-verified before it is returned: fresh
+searches re-check each explanatory level and, right after the headline
+member's scan, the compilation it proved unsolvable for an extracted
+landmark. Each builds its own search tables, so none answers from a
+table of the search whose claim it checks. The lattice decides its nodes
+on projections of the root's search masks, while verification searches
+each explanatory level's model, projected from the root and compiled on
+its own, so the two decisions share no projection code.
 
 Degenerate cases: a solvable effective model yields a "solvable" report
 with a plan; a lattice whose top is already unsolvable yields an
@@ -127,10 +128,11 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
     for position, node in enumerate(members):
         graph = extract_landmarks(node.model)
         target = concretize(lat, node, explanatory.groups & node.projected)
-        failed = first_unachievable(target.model, graph, limits)
+        # _explains proved target unsolvable
+        failed = first_unachievable(target.model, graph, target.solvable, limits)
         if dump_dir:
             _dump(dump_dir, f"subgoal-{position}-{failed.landmark.id}", failed.compiled)
-        if position == 0:
+        if position == 0 and not failed.is_final_goal:
             _verify_subgoal(failed, limits)
         # hold no compilation past its member
         failed = replace(failed, level=target, compiled=None)
@@ -158,7 +160,8 @@ def _explain_top_unsolvable(base: PlanningModel, cm: ConstrainedModel | None,
                             dump_dir: str | None) -> Explanation:
     top = lat.node(lat.maximal_projected_sets()[0])
     graph = _top_landmarks(base, cm, top, limits)
-    failed = first_unachievable(top.model, graph, limits)
+    # minimum_abstraction_set proved top unsolvable
+    failed = first_unachievable(top.model, graph, top.solvable, limits)
     if dump_dir:
         _dump(dump_dir, f"subgoal-0-{failed.landmark.id}", failed.compiled)
     return Explanation(
@@ -239,10 +242,10 @@ def _complex_formula(formula: DnfFormula) -> bool:
 
 
 def _verify_subgoal(failed: FailedSubgoal, limits: SearchLimits) -> None:
-    """Re-check failed's subgoal with a fresh search."""
+    """Re-check failed's landmark, an extracted one, with a fresh search."""
     fresh = decided(decide_solvable(failed.compiled, limits),
                     "self-verification of the failed subgoal")
-    if fresh.solvable and not failed.is_final_goal:
+    if fresh.solvable:
         raise PipelineError("the reported failed subgoal is achievable after all")
 
 

@@ -126,6 +126,10 @@ def test_acceptance_2_soundness_suite(corpus):
         extended, pseudo = final_goal_landmark(level.model, graph)
         lm = pseudo if e.failed.is_final_goal else e.failed.landmark
         compiled = compile_achievability(level.model, extended, lm)
+        # a final-goal compilation may be solvable on an unsolvable level under
+        # conditional deletes (see test_achievability.py::
+        # test_final_goal_failure_under_conditional_deletes_needs_no_search);
+        # the level's own check above covers a final-goal failure
         if decide_solvable(compiled, LIMITS).solvable and not e.failed.is_final_goal:
             failures.append(f"instance {i}: failed subgoal is achievable")
     assert failures == []

@@ -73,7 +73,7 @@ def test_compile_rejects_foreign_landmark(norocks):
 
 def test_first_unachievable_minirover(minirover, norocks):
     g = extract_landmarks(norocks)
-    failed = first_unachievable(minirover, g)
+    failed = first_unachievable(minirover, g, decide_solvable(minirover))
     assert not failed.is_final_goal
     names = {minirover.table.canonical(f)
              for d in failed.landmark.formula.disjuncts for f in d}
@@ -85,9 +85,9 @@ def test_first_unachievable_minirover(minirover, norocks):
     assert prefix == [{"at_l1"}]
 
 
-def test_first_unachievable_final_goal_marker():
+def test_first_unachievable_final_goal_marker(monkeypatch):
     # p and q are individually reachable, never jointly: each landmark
-    # passes, the goal conjunction fails
+    # passes, the goal conjunction fails on the model's proof alone
     m, _ = build_model(
         ["p", "q"],
         [
@@ -97,20 +97,82 @@ def test_first_unachievable_final_goal_marker():
         [],
         ["p", "q"],
     )
-    assert not decide_solvable(m).solvable
+    proof = decide_solvable(m)
+    assert not proof.solvable
     lms = (
         Landmark(0, DnfFormula.atom(m.table.id_of("p")), is_goal_conjunct=True),
         Landmark(1, DnfFormula.atom(m.table.id_of("q")), is_goal_conjunct=True),
     )
     g = LandmarkGraph(lms, ())
-    failed = first_unachievable(m, g)
+    searches = _count_scan_searches(monkeypatch)
+    failed = first_unachievable(m, g, proof)
     assert failed.is_final_goal
     assert len(failed.achieved_prefix) == 2
+    # one search per extracted landmark, none for the goal conjunction
+    assert len(searches) == 2
+
+
+def _count_scan_searches(monkeypatch):
+    """The list of models the failure scan searches, filled as it runs."""
+    searches = []
+    original = achievability.decide_solvable
+
+    def counted(model, *args, **kwargs):
+        searches.append(model)
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(achievability, "decide_solvable", counted)
+    return searches
+
+
+def test_final_goal_failure_under_conditional_deletes_needs_no_search(monkeypatch, caplog):
+    """x adds g1 and, when c holds (always), deletes g2; y adds g2 and
+    deletes g1. The model is unsolvable, yet the compilation of the goal
+    conjunction is solvable: completion_pairs keeps x's pair (g2 as rest)
+    since the delete of g2 is conditional. The scan reports the goal from
+    the model's proof, without searching it and without a warning."""
+    m, _ = build_model(
+        ["c", "g1", "g2"],
+        [
+            ("x", [], [([], ["g1"], []), (["c"], [], ["g2"])]),
+            ("y", [], [([], ["g2"], ["g1"])]),
+        ],
+        ["c"],
+        ["g1", "g2"],
+    )
+    proof = decide_solvable(m)
+    assert not proof.solvable
+    lg = extract_landmarks(m)
+    extended, pseudo = final_goal_landmark(m, lg)
+    assert decide_solvable(compile_achievability(m, extended, pseudo)).solvable
+    searches = _count_scan_searches(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="noplan.achievability"):
+        failed = first_unachievable(m, lg, proof)
+    assert failed.is_final_goal and failed.landmark == pseudo
+    assert failed.achieved_prefix == tuple(linearize(lg))
+    assert failed.compiled == compile_achievability(m, extended, pseudo)
+    assert len(searches) == len(linearize(lg))
+    assert caplog.records == []
+
+
+def test_first_unachievable_refuses_a_solvable_model():
+    # without the guard, the scan would report the goal g of this
+    # solvable model as a final-goal failure
+    m, _ = build_model(
+        ["p", "g"],
+        [("mk", [], ["p"], []), ("fin", ["p"], ["g"], [])],
+        [],
+        ["g"],
+    )
+    proof = decide_solvable(m)
+    assert proof.solvable
+    with pytest.raises(ModelError, match="unsolvable"):
+        first_unachievable(m, extract_landmarks(m), proof)
 
 
 def test_monotone_failure_prefix_all_achievable(minirover, norocks):
     g = extract_landmarks(norocks)
-    failed = first_unachievable(minirover, g)
+    failed = first_unachievable(minirover, g, decide_solvable(minirover))
     extended, _ = final_goal_landmark(minirover, g)
     for lm in failed.achieved_prefix:
         compiled = compile_achievability(minirover, extended, lm)
@@ -261,9 +323,9 @@ def test_failed_subgoal_level_attached_by_pipeline(minirover, minirover_spec):
 
 def _scan_per_landmark(m, extended, seq, pseudo):
     """The failure scan with one compile per landmark, as reference."""
-    for i, lm in enumerate(seq + [pseudo]):
+    for i, lm in enumerate(seq):
         if not decide_solvable(compile_achievability(m, extended, lm)).solvable:
-            return FailedSubgoal(lm, tuple(seq[:i]), is_final_goal=lm.id == pseudo.id)
+            return FailedSubgoal(lm, tuple(seq[:i]))
     return FailedSubgoal(pseudo, tuple(seq), is_final_goal=True)
 
 
@@ -278,7 +340,13 @@ def _check_shared_compile(m):
             if not a.adds & lm.formula.fluents:
                 assert completion_pairs(a, lm.formula) == []
     seq = linearize(g)
-    failed = first_unachievable(m, g)
+    proof = decide_solvable(m)
+    if proof.solvable:
+        # drawn models may be solvable; the scan refuses them
+        with pytest.raises(ModelError):
+            first_unachievable(m, g, proof)
+        return None, seq
+    failed = first_unachievable(m, g, proof)
     assert failed == _scan_per_landmark(m, extended, seq, pseudo)
     assert failed.compiled == compile_achievability(m, extended, failed.landmark)
     # searched on tables of its own, the failing step is unsolvable, as
@@ -323,6 +391,7 @@ def test_one_scan_builds_its_search_tables_once(monkeypatch):
     q, g; t holds initially), on one relaxed set and one set of masks."""
     m = _spent_token_model()
     lg = extract_landmarks(m)
+    proof = decide_solvable(m)
     calls = {"relaxed_reachable": 0, "compile_masks": 0, "decide_solvable": 0}
 
     def count(name):
@@ -337,7 +406,7 @@ def test_one_scan_builds_its_search_tables_once(monkeypatch):
     for name in ("relaxed_reachable", "compile_masks"):
         monkeypatch.setattr(search, name, count(name))
     monkeypatch.setattr(achievability, "decide_solvable", count("decide_solvable"))
-    assert first_unachievable(m, lg).landmark.formula.fluents == {m.table.id_of("g")}
+    assert first_unachievable(m, lg, proof).landmark.formula.fluents == {m.table.id_of("g")}
     assert calls == {"relaxed_reachable": 1, "compile_masks": 1, "decide_solvable": 4}
 
 

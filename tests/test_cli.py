@@ -449,6 +449,28 @@ def test_exhausted_budget_names_stage_and_budget(tmp_path, capsys, command, inst
         f"gave up: resource budget exhausted during: {stage}: node budget {budget} reached\n")
 
 
+MAKE_PUZZLE = Path(__file__).resolve().parent.parent / "scripts" / "make_puzzle_instance.py"
+
+
+def test_final_goal_step_spends_no_node_budget(tmp_path, capsys):
+    """On the 2x3 sliding-tile puzzle with two tiles swapped, the seven
+    extracted landmarks stay achievable, so the failure is the goal
+    conjunction, pseudo-landmark 7. Searching its compilation would
+    exhaust a budget of 400 nodes ("achievability of landmark 7"); the
+    scan answers it from the level's proof instead."""
+    subprocess.run([sys.executable, str(MAKE_PUZZLE), "2", "3", "1", str(tmp_path)],
+                   check=True, capture_output=True)
+    code = run_cli("explain", "--domain", tmp_path / "domain.pddl",
+                   "--problem", tmp_path / "problem.pddl",
+                   "--lattice", tmp_path / "lattice.json",
+                   "--node-budget", 400, "--format", "json")
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    failed = json.loads(captured.out)["failed"]
+    assert failed["final_goal"] and len(failed["prefix"]) == 7
+    assert failed["level"] == {"projected": ["adjacency"]}
+
+
 def test_deeply_nested_parentheses_exit_two(tmp_path, capsys):
     domain = (MINIROVER / "domain.pddl").read_text()
     deep = tmp_path / "domain.pddl"

@@ -394,6 +394,32 @@ def test_subgoal_verification_searches_on_tables_of_its_own(monkeypatch, minirov
     assert [tables for model, tables in verifies if model is scanned] == [None]
 
 
+def test_final_goal_failure_is_not_searched_again(monkeypatch):
+    """p and q are each reachable, never together. Projecting q leaves
+    the goal p, which stays achievable at the root, so the failure is the
+    goal conjunction: it rests on the root's proof, which self-verification
+    re-checks, and its compilation is not searched again."""
+    m, _ = build_model(
+        ["p", "q"],
+        [("make_p", [], ["p"], ["q"]), ("make_q", [], ["q"], ["p"])],
+        [],
+        ["p", "q"],
+    )
+    explain_module = importlib.import_module("noplan.explain")
+    original = explain_module.decided
+    stages = []
+
+    def record(result, stage):
+        stages.append(stage)
+        return original(result, stage)
+
+    monkeypatch.setattr(explain_module, "decided", record)
+    e = explain(m, LatticeSpec((("qs", ("q",)),)))
+    assert e.status == STATUS_EXPLAINED and e.failed.is_final_goal
+    assert "self-verification of the explanatory level" in stages
+    assert "self-verification of the failed subgoal" not in stages
+
+
 def test_root_target_verification_builds_its_own_relaxed_set(monkeypatch, minirover_texts):
     """With one group, the explanatory level is the root itself; its
     self-verification does not reuse the root decision's relaxed set."""
