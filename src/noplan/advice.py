@@ -348,8 +348,6 @@ def fsa_product(a: ConstraintFsa, b: ConstraintFsa) -> ConstraintFsa:
 
 @dataclass(frozen=True)
 class ConstrainedModel:
-    base: PlanningModel
-    fsa: ConstraintFsa
     compiled: PlanningModel
     meta_action_map: dict  # compiled name -> (base name | None, Transition | None)
 
@@ -439,7 +437,7 @@ def compose(m: PlanningModel, fsa: ConstraintFsa) -> ConstrainedModel:
     compiled = PlanningModel(
         table, frozenset(fluents), tuple(actions), frozenset(init), goal
     )
-    return ConstrainedModel(m, fsa, compiled, meta_map)
+    return ConstrainedModel(compiled, meta_map)
 
 
 def strip_meta(cm: ConstrainedModel, plan) -> tuple[str, ...]:

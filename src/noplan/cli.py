@@ -108,7 +108,7 @@ def cmd_lattice(args) -> int:
     print(f"{'projected':<40} {'fluents':>8} {'solvable':>10}")
     for projected in lat.all_projected_sets():
         node = lat.node(projected)
-        result = lat.solvability(node)
+        result = decided(lat.solvability(node), f"lattice table at node {sorted(projected)}")
         label = "{" + ", ".join(sorted(projected)) + "}"
         fluents = len(lat.root.fluents) - len(node.gone)
         print(f"{label:<40} {fluents:>8} {result.status:>10}")

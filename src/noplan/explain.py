@@ -6,21 +6,27 @@ solvable maximal elements, search for the cheapest group set whose
 restoration breaks all of them, then extract landmarks one level up and
 scan for the first subgoal that the explanatory level can no longer
 achieve; when every landmark stays achievable, the goal conjunction
-fails on the lattice's proof that the level is unsolvable. Every
-non-degenerate explanation is self-verified before it is returned: fresh
-searches re-check each explanatory level and, right after the headline
-member's scan, the compilation it proved unsolvable for an extracted
-landmark. Each builds its own search tables, so none answers from a
-table of the search whose claim it checks. The lattice decides its nodes
-on projections of the root's search masks, while verification searches
-each explanatory level's model, projected from the root and compiled on
-its own, so the two decisions share no projection code.
+fails on the lattice's proof that the level is unsolvable.
+
+One loop runs over the levels of the report: each member with its
+explanatory level, or, when no maximal element is solvable, the top
+node alone. Each level is scanned, dumped and self-verified in the same
+pass, before the next is scanned: a fresh search re-checks that the
+level is unsolvable and, for the first level, another re-checks the
+compilation the scan proved unsolvable for an extracted landmark. Each
+builds its own search tables, so none answers from a table of the
+search whose claim it checks. The lattice decides its nodes on
+projections of the root's search masks, while verification searches
+each level's model, projected from the root and compiled on its own, so
+the two decisions share no projection code.
 
 Degenerate cases: a solvable effective model yields a "solvable" report
-with a plan; a lattice whose top is already unsolvable yields an
-"unsolvable-at-top" report whose failure scan runs directly on the top
-node (using the unconstrained model's landmarks when advice caused the
-collapse and the base model is solvable, else the goal conjuncts).
+with a plan and no lattice. When every maximal element is unsolvable,
+the report is "unsolvable-at-top": it has no explanatory set and no
+exemplar, and its one level is the top node (the first maximal
+element), scanned with the unconstrained model's landmarks when advice
+caused the collapse and the base model is solvable, else with the goal
+conjuncts.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .abstraction import (
     GOAL_LITERAL,
     INIT_LITERAL,
     PRECONDITION_LITERAL,
-    AbstractionLattice,
     ExplanatorySet,
     LatticeNode,
     LatticeSpec,
@@ -118,57 +123,35 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
     lat.root_node.solvable = root_result
 
     members = minimum_abstraction_set(lat)
-    if not members:
-        return _explain_top_unsolvable(m, cm, lat, limits, dump_dir)
-
-    explanatory = find_explanatory_fluents(lat, members)
+    explanatory = find_explanatory_fluents(lat, members) if members else None
+    # with no solvable maximal element the top node is the only level
+    levels = members or [lat.node(lat.maximal_projected_sets()[0])]
 
     failures: list[FailedSubgoal] = []
-    targets: list[LatticeNode] = []
-    for position, node in enumerate(members):
-        graph = extract_landmarks(node.model)
-        target = concretize(lat, node, explanatory.groups & node.projected)
-        # _explains proved target unsolvable
+    for position, node in enumerate(levels):
+        if explanatory is None:
+            target = node
+            graph = _top_landmarks(m, cm, node, limits)
+        else:
+            target = concretize(lat, node, explanatory.groups & node.projected)
+            graph = extract_landmarks(node.model)
+        # _explains or minimum_abstraction_set proved target unsolvable
         failed = first_unachievable(target.model, graph, target.solvable, limits)
         if dump_dir:
             _dump(dump_dir, f"subgoal-{position}-{failed.landmark.id}", failed.compiled)
-        if position == 0 and not failed.is_final_goal:
-            _verify_subgoal(failed, limits)
-        # hold no compilation past its member
-        failed = replace(failed, level=target, compiled=None)
-        failures.append(failed)
-        targets.append(target)
+        _self_verify(node, target, failed if position == 0 else None, explanatory, limits)
+        # hold no compilation past its level
+        failures.append(replace(failed, level=target, compiled=None))
 
     headline = failures[0]
-    exemplar_trace = _exemplar(lat, members[0], targets[0], headline, explanatory,
-                               exemplar, limits)
-    _self_verify(members, targets, explanatory, limits)
-
     return Explanation(
-        STATUS_EXPLAINED,
+        STATUS_TOP_UNSOLVABLE if explanatory is None else STATUS_EXPLAINED,
         effective.table,
         advice_applied=cm is not None,
         explanatory=explanatory,
         failed=headline,
         secondary=tuple(failures[1:]),
-        exemplar=exemplar_trace,
-    )
-
-
-def _explain_top_unsolvable(base: PlanningModel, cm: ConstrainedModel | None,
-                            lat: AbstractionLattice, limits: SearchLimits,
-                            dump_dir: str | None) -> Explanation:
-    top = lat.node(lat.maximal_projected_sets()[0])
-    graph = _top_landmarks(base, cm, top, limits)
-    # minimum_abstraction_set proved top unsolvable
-    failed = first_unachievable(top.model, graph, top.solvable, limits)
-    if dump_dir:
-        _dump(dump_dir, f"subgoal-0-{failed.landmark.id}", failed.compiled)
-    return Explanation(
-        STATUS_TOP_UNSOLVABLE,
-        top.model.table,
-        advice_applied=cm is not None,
-        failed=replace(failed, level=top, compiled=None),
+        exemplar=_exemplar(lat, levels[0], headline, explanatory, exemplar, limits),
     )
 
 
@@ -221,17 +204,18 @@ def exemplar_failure(abs_node: LatticeNode, conc: PlanningModel,
     return trace
 
 
-def _exemplar(lat, member, target, headline: FailedSubgoal,
-              explanatory: ExplanatorySet, mode: str,
+def _exemplar(lat, member, headline: FailedSubgoal,
+              explanatory: ExplanatorySet | None, mode: str,
               limits: SearchLimits) -> ValidationTrace | None:
-    if mode == EXEMPLAR_NEVER:
+    # an unsolvable-at-top report has no abstraction plan to replay
+    if explanatory is None or mode == EXEMPLAR_NEVER:
         return None
     if mode == EXEMPLAR_AUTO and not _complex_formula(headline.landmark.formula):
         return None
     restrict = frozenset().union(
         *(lat.groups[g].members for g in explanatory.groups)
     ) if explanatory.groups else None
-    trace = exemplar_failure(member, target.model, limits, restrict)
+    trace = exemplar_failure(member, headline.level.model, limits, restrict)
     if trace.valid:
         return None
     return trace
@@ -241,25 +225,25 @@ def _complex_formula(formula: DnfFormula) -> bool:
     return len(formula.disjuncts) > 1 or any(len(d) > 3 for d in formula.disjuncts)
 
 
-def _verify_subgoal(failed: FailedSubgoal, limits: SearchLimits) -> None:
-    """Re-check failed's landmark, an extracted one, with a fresh search."""
-    fresh = decided(decide_solvable(failed.compiled, limits),
-                    "self-verification of the failed subgoal")
-    if fresh.solvable:
-        raise PipelineError("the reported failed subgoal is achievable after all")
-
-
-def _self_verify(members, targets, explanatory: ExplanatorySet, limits: SearchLimits) -> None:
-    """Re-check with fresh searches that the members' explanatory levels
-    (targets, as the scan used them) are unsolvable."""
-    for node, target in zip(members, targets):
-        fresh = decided(decide_solvable(target.model, limits),
-                        "self-verification of the explanatory level")
+def _self_verify(node: LatticeNode, target: LatticeNode, headline: FailedSubgoal | None,
+                 explanatory: ExplanatorySet | None, limits: SearchLimits) -> None:
+    """Re-check with fresh searches that target, the level the scan used
+    for node, is unsolvable and, when headline fails an extracted
+    landmark, that its compilation is unsolvable too."""
+    if headline is not None and not headline.is_final_goal:
+        fresh = decided(decide_solvable(headline.compiled, limits),
+                        "self-verification of the failed subgoal")
         if fresh.solvable:
-            raise PipelineError(
-                f"restoring {sorted(explanatory.groups)} left node "
-                f"{sorted(node.projected)} solvable"
-            )
+            raise PipelineError("the reported failed subgoal is achievable after all")
+    fresh = decided(decide_solvable(target.model, limits),
+                    "self-verification of the explanatory level")
+    if fresh.solvable:
+        if explanatory is None:
+            raise PipelineError(f"the top node {sorted(node.projected)} is solvable")
+        raise PipelineError(
+            f"restoring {sorted(explanatory.groups)} left node "
+            f"{sorted(node.projected)} solvable"
+        )
 
 
 def _dump(directory: str, stem: str, model: PlanningModel) -> None:

@@ -405,9 +405,6 @@ class DnfFormula:
         return sorted(tuple(sorted(d)) for d in self.disjuncts)
 
 
-FALSE = DnfFormula(frozenset())
-
-
 def normalize_dnf(tree) -> DnfFormula:
     """Convert an and/or tree over fluent ids into minimized DNF.
 

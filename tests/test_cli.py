@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from noplan import cli
+from noplan.abstraction import AbstractionLattice
 from noplan.cli import main
 from noplan.errors import PipelineError
+from noplan.search import UNSOLVABLE, SearchResult
 
 from .conftest import INSTANCES
 
@@ -360,6 +362,28 @@ def test_explain_failed_self_check_exit_four(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+def test_explain_wrong_lattice_exit_four(capsys, monkeypatch):
+    """A lattice that decides every node below the root unsolvable yields
+    an unsolvable-at-top report whose top is solvable; its self-check
+    refuses it."""
+    def lie(self, node):
+        if node.solvable is None:
+            node.solvable = SearchResult(UNSOLVABLE)
+        return node.solvable
+
+    monkeypatch.setattr(AbstractionLattice, "solvability", lie)
+    code = main([
+        "explain",
+        "--domain", str(MINIROVER / "domain.pddl"),
+        "--problem", str(MINIROVER / "problem.pddl"),
+        "--lattice", str(MINIROVER / "lattice.json"),
+    ])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "self-check failed: the top node ['conn', 'rocks'] is solvable\n"
+
+
 # The key is grabbed once, and finishing spends it; the goal needs the
 # key and finishing together, which the four free bits hide from a
 # small node budget. Nothing opens the lock, so the concrete model is
@@ -410,6 +434,7 @@ def _write_instance(directory, domain, problem, lattice, advice=None):
 
 
 BLOCKS = INSTANCES / "blocksworld"
+ROVER_GRID = INSTANCES / "rover_grid"
 
 # Searches that a node budget cannot exhaust on its own are left out:
 # self-verification repeats a search that already ended within the same
@@ -427,6 +452,8 @@ EXHAUSTED_STAGES = [
                  "achievability of landmark 0", id="achievability"),
     pytest.param("explain", "steps", True, 1,
                  "solvability of the model without advice", id="without-advice"),
+    pytest.param("lattice", ROVER_GRID, False, 5,
+                 "lattice table at node ['rocks']", id="lattice"),
 ]
 
 
@@ -440,7 +467,7 @@ def test_exhausted_budget_names_stage_and_budget(tmp_path, capsys, command, inst
                                    STEPS_ADVICE)
     args = [command, "--domain", instance / "domain.pddl",
             "--problem", instance / "problem.pddl", "--node-budget", budget]
-    if command == "explain":
+    if command in ("explain", "lattice"):
         args += ["--lattice", instance / "lattice.json"]
     if advice:
         args += ["--advice", instance / "advice.json"]

@@ -420,6 +420,33 @@ def test_final_goal_failure_is_not_searched_again(monkeypatch):
     assert "self-verification of the failed subgoal" not in stages
 
 
+def test_unsolvable_at_top_report_is_self_verified(monkeypatch):
+    """p_x is projected at the top, so b still reaches q_y but nothing
+    reaches g: every level is unsolvable. The top report's failed goal
+    conjunct g and its level are both searched again."""
+    m, _ = build_model(
+        ["p_x", "q_y", "g"],
+        [("a", [], ["p_x"], []), ("b", ["p_x"], ["q_y"], [])],
+        [],
+        ["g", "q_y"],
+    )
+    explain_module = importlib.import_module("noplan.explain")
+    original = explain_module.decided
+    stages = []
+
+    def record(result, stage):
+        stages.append(stage)
+        return original(result, stage)
+
+    monkeypatch.setattr(explain_module, "decided", record)
+    e = explain(m, LatticeSpec((("ps", ("p",)),)))
+    assert e.status == STATUS_TOP_UNSOLVABLE
+    assert _names(m, e.failed) == {"g"} and not e.failed.is_final_goal
+    assert stages == ["solvability of the concrete model",
+                      "self-verification of the failed subgoal",
+                      "self-verification of the explanatory level"]
+
+
 def test_root_target_verification_builds_its_own_relaxed_set(monkeypatch, minirover_texts):
     """With one group, the explanatory level is the root itself; its
     self-verification does not reuse the root decision's relaxed set."""
