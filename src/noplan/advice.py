@@ -250,7 +250,8 @@ def _parse_item(item, m: PlanningModel) -> ConstraintFsa:
         )
     if template == "action-count-at-most":
         count = item.get("count")
-        if not isinstance(count, int):
+        # a JSON true or false is a bool, which Python counts as an int
+        if not isinstance(count, int) or isinstance(count, bool):
             raise AdviceError("action-count-at-most needs an integer 'count'")
         return action_count_at_most(m, _str_arg(item, "action"), count)
     raise AdviceError(f"unknown advice template {template!r}")

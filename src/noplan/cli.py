@@ -50,6 +50,11 @@ def _load_model(args):
 def _limits(args) -> SearchLimits:
     nodes = getattr(args, "node_budget", None)
     seconds = getattr(args, "time_budget", None)
+    if nodes is not None and nodes < 0:
+        raise InputError(f"--node-budget must be at least 0, got {nodes}")
+    # written so that NaN fails too
+    if seconds is not None and not seconds >= 0:
+        raise InputError(f"--time-budget must be a number of seconds >= 0, got {seconds}")
     return SearchLimits(
         max_nodes=SearchLimits.max_nodes if nodes is None else nodes,
         max_seconds=SearchLimits.max_seconds if seconds is None else seconds,

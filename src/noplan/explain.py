@@ -11,14 +11,15 @@ fails on the lattice's proof that the level is unsolvable.
 One loop runs over the levels of the report: each member with its
 explanatory level, or, when no maximal element is solvable, the top
 node alone. Each level is scanned, dumped and self-verified in the same
-pass, before the next is scanned: a fresh search re-checks that the
-level is unsolvable and, for the first level, another re-checks the
-compilation the scan proved unsolvable for an extracted landmark. Each
-builds its own search tables, so none answers from a table of the
-search whose claim it checks. The lattice decides its nodes on
-projections of the root's search masks, while verification searches
-each level's model, projected from the root and compiled on its own, so
-the two decisions share no projection code.
+pass, before the next is scanned: for the first level, a fresh search
+re-checks the compilation the scan proved unsolvable for an extracted
+landmark; each level's scan compilation is then dropped before another
+fresh search re-checks that the level is unsolvable. Each builds its
+own search tables, so none answers from a table of the search whose
+claim it checks. The lattice decides its nodes on projections of the
+root's search masks, while verification searches each level's model,
+projected from the root and compiled on its own, so the two decisions
+share no projection code.
 
 Degenerate cases: a solvable effective model yields a "solvable" report
 with a plan and no lattice. When every maximal element is unsolvable,
@@ -139,9 +140,15 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
         failed = first_unachievable(target.model, graph, target.solvable, limits)
         if dump_dir:
             _dump(dump_dir, f"subgoal-{position}-{failed.landmark.id}", failed.compiled)
-        _self_verify(node, target, failed if position == 0 else None, explanatory, limits)
-        # hold no compilation past its level
-        failures.append(replace(failed, level=target, compiled=None))
+        if position == 0 and not failed.is_final_goal:
+            fresh = decided(decide_solvable(failed.compiled, limits),
+                            "self-verification of the failed subgoal")
+            if fresh.solvable:
+                raise PipelineError("the reported failed subgoal is achievable after all")
+        # no compilation is held while the level is searched again
+        failed = replace(failed, level=target, compiled=None)
+        _self_verify(node, target, explanatory, limits)
+        failures.append(failed)
 
     headline = failures[0]
     return Explanation(
@@ -225,16 +232,10 @@ def _complex_formula(formula: DnfFormula) -> bool:
     return len(formula.disjuncts) > 1 or any(len(d) > 3 for d in formula.disjuncts)
 
 
-def _self_verify(node: LatticeNode, target: LatticeNode, headline: FailedSubgoal | None,
+def _self_verify(node: LatticeNode, target: LatticeNode,
                  explanatory: ExplanatorySet | None, limits: SearchLimits) -> None:
-    """Re-check with fresh searches that target, the level the scan used
-    for node, is unsolvable and, when headline fails an extracted
-    landmark, that its compilation is unsolvable too."""
-    if headline is not None and not headline.is_final_goal:
-        fresh = decided(decide_solvable(headline.compiled, limits),
-                        "self-verification of the failed subgoal")
-        if fresh.solvable:
-            raise PipelineError("the reported failed subgoal is achievable after all")
+    """Re-check with a fresh search that target, the level the scan used
+    for node, is unsolvable."""
     fresh = decided(decide_solvable(target.model, limits),
                     "self-verification of the explanatory level")
     if fresh.solvable:

