@@ -159,8 +159,9 @@ class AbstractionLattice:
         # plans of the nodes this lattice searched and found solvable,
         # in the order found
         self._plans: list[Plan] = []
-        # the root's search masks (all bits, init, goal, ops, ops by
-        # name, group masks), compiled on the first decision
+        # the root's search masks (the fluent ids in bit order, all bits,
+        # init, goal, ops, ops by name, group masks), compiled on the
+        # first decision; not the bits dict, whose big ints cost more
         self._masks = None
 
     @property
@@ -212,18 +213,20 @@ class AbstractionLattice:
         at one node can be replayed at another: the first stored plan
         valid on the node's masks proves it solvable. Only when none is
         valid does a search (``search.decide_masks``) decide, so every
-        "unsolvable" comes from a search. Under tight ``limits`` replay
-        can decide a node whose own search would be exhausted, so which
-        nodes end up exhausted can depend on the order in which nodes
-        are decided.
+        "unsolvable" comes from a search; its certificate, if any, is over
+        the root's bits, in the order of their compile_masks. Under tight
+        ``limits`` replay can decide a node whose own search would be
+        exhausted, so which nodes end up exhausted can depend on the order
+        in which nodes are decided.
         """
         if node.solvable is None:
             if self._masks is None:
                 bits, init, ops = compile_masks(self.root)
                 groups = {name: fluent_mask(bits, g.members) for name, g in self.groups.items()}
-                self._masks = ((1 << len(bits)) - 1, init, fluent_mask(bits, self.root.goal),
-                               ops, {op[4]: op for op in ops}, groups)
-            full, init, goal, ops, by_name, groups = self._masks
+                self._masks = (tuple(bits), (1 << len(bits)) - 1, init,
+                               fluent_mask(bits, self.root.goal), ops,
+                               {op[4]: op for op in ops}, groups)
+            order, full, init, goal, ops, by_name, groups = self._masks
             keep = full  # non-negative, as the keep masks of compile_masks
             for name in node.projected:
                 keep &= ~groups[name]
@@ -234,7 +237,8 @@ class AbstractionLattice:
                     node.solvable = SearchResult(SOLVABLE, plan)
                     break
             else:
-                node.solvable = decide_masks(init, goal, project_ops(ops, keep), self.limits)
+                node.solvable = decide_masks(order, init, goal, project_ops(ops, keep),
+                                             self.limits)
                 if node.solvable.solvable:
                     self._plans.append(node.solvable.plan)
         return node.solvable

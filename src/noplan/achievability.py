@@ -26,7 +26,13 @@ landmark it tests.
 Predecessor formulas enter the conditions by DNF expansion (one clause
 per combination of predecessor disjuncts), capped at 64 clauses per
 action/landmark pair; past the cap the orderings of that landmark are
-not enforced for that action and a warning is logged.
+not enforced for that action. A warning is logged, and the scan's
+failure lists the pair, so that an explanation can report it.
+
+Each landmark the scan finds achievable is achieved by the plan its
+search found; the scan replays that plan on the step's model with
+validate_plan, so the achieved prefix rests on a replay, not on the
+search alone.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .errors import ModelError, ReservedNameError
+from .errors import ModelError, PipelineError, ReservedNameError, UnknownActionError
 from .landmarks import (
     GREEDY_NECESSARY,
     Landmark,
@@ -44,24 +50,35 @@ from .landmarks import (
     Ordering,
     linearize,
 )
-from .model import Action, DnfFormula, Effect, PlanningModel, holds
+from .model import Action, DnfFormula, Effect, PlanningModel, holds, validate_plan
 from .search import UNSOLVABLE, SearchLimits, SearchResult, decide_solvable, decided
 
 logger = logging.getLogger(__name__)
 
-_CLAUSE_CAP = 64
+CLAUSE_CAP = 64
 
 
 @dataclass(frozen=True)
 class FailedSubgoal:
-    """The first unachievable landmark of a linearization, or the goal."""
+    """The first unachievable landmark of a linearization, or the goal.
+
+    compiled is the scan's compilation for the failure's goal, which the
+    pipeline verifies unsolvable unless it is the final goal, and proof
+    is the certificate of the search that found it so
+    (``SearchResult.proof``): None for the final goal, which rests on the
+    level's own proof, and after a breadth-first proof. The pipeline
+    drops both once the failure is verified. unordered lists the
+    (landmark, action name) pairs of the compilation whose ordering
+    enforcement the clause cap dropped.
+    """
 
     landmark: Landmark
     achieved_prefix: tuple[Landmark, ...]
     is_final_goal: bool = False
     level: object | None = None  # lattice node, attached by the pipeline
-    # the scan's compilation for this goal; searched unless it is the final goal
     compiled: PlanningModel | None = field(default=None, compare=False, repr=False)
+    proof: object = field(default=None, compare=False, repr=False)
+    unordered: tuple[tuple[Landmark, str], ...] = ()
 
 
 def _meta_ids(m: PlanningModel, lg: LandmarkGraph):
@@ -78,9 +95,13 @@ def _meta_ids(m: PlanningModel, lg: LandmarkGraph):
     return table, ach, unset, fta
 
 
-def compile_achievability(m: PlanningModel, lg: LandmarkGraph,
-                          phi: Landmark) -> PlanningModel:
-    """Model whose plans are exactly the ordered first achievements of phi."""
+def compile_achievability(m: PlanningModel, lg: LandmarkGraph, phi: Landmark,
+                          unordered: list | None = None) -> PlanningModel:
+    """Model whose plans are exactly the ordered first achievements of phi.
+
+    Each (landmark, action name) pair whose ordering enforcement the
+    clause cap drops is appended to unordered when given.
+    """
     if not lg.contains(phi):
         raise ModelError(f"landmark {phi.id} is not part of the graph")
     for lm in lg.landmarks:
@@ -120,7 +141,7 @@ def compile_achievability(m: PlanningModel, lg: LandmarkGraph,
                 continue  # completion_pairs would find nothing
             clauses = _tracking_clauses(
                 a, lm, ach, unset, fta,
-                nec_preds[lm.id], gnec_preds[lm.id], nat_preds[lm.id],
+                nec_preds[lm.id], gnec_preds[lm.id], nat_preds[lm.id], unordered,
             )
             for eff in clauses:
                 extra.setdefault(eff, None)
@@ -160,7 +181,8 @@ def completion_pairs(a: Action, formula) -> list[frozenset[int]]:
 
 
 def _tracking_clauses(a: Action, lm: Landmark, ach, unset, fta,
-                      nec_formulas, gnec_formulas, nat_flags) -> list[Effect]:
+                      nec_formulas, gnec_formulas, nat_flags,
+                      unordered: list | None) -> list[Effect]:
     pairs = completion_pairs(a, lm.formula)
     if not pairs:
         return []
@@ -173,19 +195,21 @@ def _tracking_clauses(a: Action, lm: Landmark, ach, unset, fta,
                 for prev in out
                 for d in f.sorted_disjuncts()
             ]
-            if len(out) > _CLAUSE_CAP:
+            if len(out) > CLAUSE_CAP:
                 return None
         return out
 
     nat = frozenset(nat_flags)
     cond1 = expand([frozenset(p) | nat for p in pairs], nec_formulas)
     cond2 = expand(cond1, gnec_formulas) if cond1 is not None else None
-    if cond1 is None or cond2 is None or len(cond1) + len(cond2) > _CLAUSE_CAP:
+    if cond1 is None or cond2 is None or len(cond1) + len(cond2) > CLAUSE_CAP:
         logger.warning(
             "ordering enforcement for landmark %d dropped on action %s "
             "(conditional-effect expansion exceeds %d clauses)",
-            lm.id, a.name, _CLAUSE_CAP,
+            lm.id, a.name, CLAUSE_CAP,
         )
+        if unordered is not None:
+            unordered.append((lm, a.name))
         cond1 = [frozenset(p) for p in pairs]
         cond2 = [frozenset(p) for p in pairs]
 
@@ -227,20 +251,30 @@ def first_unachievable(m: PlanningModel, lg: LandmarkGraph, proof: SearchResult,
     deletes. The graph is compiled once; each step swaps the goal and
     searches on one set of search tables, which do not depend on it. The
     failure's ``compiled`` equals compile_achievability of its landmark on
-    the graph extended by final_goal_landmark.
+    the graph extended by final_goal_landmark. The plan of each achieved
+    step is replayed on the step's model; one that does not reach the
+    step's goal raises PipelineError.
     """
     if proof is None or proof.status != UNSOLVABLE:
         raise ModelError("the failure scan needs a proof that the model is unsolvable")
     seq = linearize(lg)
     extended, pseudo = final_goal_landmark(m, lg)
-    shared = compile_achievability(m, extended, pseudo)
+    dropped: list = []
+    shared = compile_achievability(m, extended, pseudo, dropped)
     tables: dict = {}
     for i, lm in enumerate(seq):
         goal = frozenset({shared.table.id_of(f"first-time-lm{lm.id}")})
         step = shared.with_goal(goal)
-        result = decided(decide_solvable(step, limits, tables),
-                         f"achievability of landmark {lm.id}")
+        stage = f"achievability of landmark {lm.id}"
+        result = decided(decide_solvable(step, limits, tables), stage)
         if not result.solvable:
-            return FailedSubgoal(landmark=lm, achieved_prefix=tuple(seq[:i]), compiled=step)
+            return FailedSubgoal(landmark=lm, achieved_prefix=tuple(seq[:i]), compiled=step,
+                                 proof=result.proof, unordered=tuple(dropped))
+        try:
+            replayed = validate_plan(step, result.plan).valid
+        except UnknownActionError:
+            replayed = False
+        if not replayed:
+            raise PipelineError(f"{stage}: the plan found does not replay")
     return FailedSubgoal(landmark=pseudo, achieved_prefix=tuple(seq), is_final_goal=True,
-                         compiled=shared)
+                         compiled=shared, unordered=tuple(dropped))

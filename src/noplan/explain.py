@@ -11,15 +11,20 @@ fails on the lattice's proof that the level is unsolvable.
 One loop runs over the levels of the report: each member with its
 explanatory level, or, when no maximal element is solvable, the top
 node alone. Each level is scanned, dumped and self-verified in the same
-pass, before the next is scanned: for the first level, a fresh search
-re-checks the compilation the scan proved unsolvable for an extracted
-landmark; each level's scan compilation is then dropped before another
-fresh search re-checks that the level is unsolvable. Each builds its
-own search tables, so none answers from a table of the search whose
-claim it checks. The lattice decides its nodes on projections of the
-root's search masks, while verification searches each level's model,
-projected from the root and compiled on its own, so the two decisions
-share no projection code.
+pass, before the next is scanned. The scan replays the plan of each
+achieved subgoal on its compilation (see first_unachievable). For the
+first level, the compilation the scan proved unsolvable for an
+extracted landmark is verified; each level's scan compilation is then
+dropped before the level itself is verified unsolvable. Both checks
+run through _unsolvable: a proof from a relaxed exit or from the pair
+check carries its certificate, an inductive invariant that
+certificate.check tests against the model in one pass over its
+actions, with none of the search's code; a breadth-first proof has
+none, so a fresh search decides again, building its own search
+tables, so that it answers from no table of the search whose claim it
+checks. The lattice decides its nodes on projections of the root's
+search masks, while verification reads each level's model, projected
+from the root on its own, so the two share no projection code.
 
 Degenerate cases: a solvable effective model yields a "solvable" report
 with a plan and no lattice. When every maximal element is unsolvable,
@@ -52,8 +57,9 @@ from .abstraction import (
     minimum_abstraction_set,
     resolve_groups,
 )
-from .achievability import FailedSubgoal, first_unachievable
+from .achievability import CLAUSE_CAP, FailedSubgoal, first_unachievable
 from .advice import ConstrainedModel, compose, parse_advice, strip_meta
+from .certificate import check
 from .errors import InputError, ModelUnsolvableError, PipelineError
 from .landmarks import Landmark, LandmarkGraph, extract_landmarks
 from .model import (
@@ -140,13 +146,12 @@ def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None
         failed = first_unachievable(target.model, graph, target.solvable, limits)
         if dump_dir:
             _dump(dump_dir, f"subgoal-{position}-{failed.landmark.id}", failed.compiled)
-        if position == 0 and not failed.is_final_goal:
-            fresh = decided(decide_solvable(failed.compiled, limits),
-                            "self-verification of the failed subgoal")
-            if fresh.solvable:
-                raise PipelineError("the reported failed subgoal is achievable after all")
-        # no compilation is held while the level is searched again
-        failed = replace(failed, level=target, compiled=None)
+        if position == 0 and not failed.is_final_goal and not _unsolvable(
+                failed.compiled, failed.proof, "self-verification of the failed subgoal", limits):
+            raise PipelineError("the reported failed subgoal is achievable after all")
+        # no compilation, nor its proof, is held while the level is
+        # checked or searched again
+        failed = replace(failed, level=target, compiled=None, proof=None)
         _self_verify(node, target, explanatory, limits)
         failures.append(failed)
 
@@ -232,13 +237,26 @@ def _complex_formula(formula: DnfFormula) -> bool:
     return len(formula.disjuncts) > 1 or any(len(d) > 3 for d in formula.disjuncts)
 
 
+def _unsolvable(model: PlanningModel, proof, stage: str, limits: SearchLimits) -> bool:
+    """Whether model is unsolvable, by checking proof, the certificate of
+    the search that decided it, or by a fresh search when it has none.
+
+    A certificate that the check rejects raises PipelineError naming
+    stage.
+    """
+    if proof is None:
+        return not decided(decide_solvable(model, limits), stage).solvable
+    if not check(model, proof):
+        raise PipelineError(f"{stage}: the certificate of unsolvability does not hold")
+    return True
+
+
 def _self_verify(node: LatticeNode, target: LatticeNode,
                  explanatory: ExplanatorySet | None, limits: SearchLimits) -> None:
-    """Re-check with a fresh search that target, the level the scan used
-    for node, is unsolvable."""
-    fresh = decided(decide_solvable(target.model, limits),
-                    "self-verification of the explanatory level")
-    if fresh.solvable:
+    """Re-check that target, the level the scan used for node, is
+    unsolvable."""
+    if not _unsolvable(target.model, target.solvable.proof,
+                       "self-verification of the explanatory level", limits):
         if explanatory is None:
             raise PipelineError(f"the top node {sorted(node.projected)} is solvable")
         raise PipelineError(
@@ -308,6 +326,9 @@ def _render_machine(e: Explanation) -> dict:
     if e.failed is not None:
         out["failed"] = _failed_dict(table, e.failed)
     out["secondary"] = [_failed_dict(table, f) for f in e.secondary]
+    warnings = _warnings(e)
+    if warnings:
+        out["warnings"] = warnings
     if e.exemplar is not None:
         out["exemplar"] = {
             "plan": list(e.exemplar.plan),
@@ -387,7 +408,26 @@ def _render_human(e: Explanation) -> str:
                 f"Exemplar failure: the abstract plan [{steps}] fails at step "
                 f"{e.exemplar.failing_index + 1} ({step}); unsatisfied: {missing}"
             )
+
+    warnings = _warnings(e)
+    if warnings:
+        lines.append("")
+        lines.extend(f"warning: {text}" for text in warnings)
     return "\n".join(lines)
+
+
+def _warnings(e: Explanation) -> list[str]:
+    """A line for each subgoal and action of the report's scans whose
+    ordering enforcement the clause cap dropped, each line once."""
+    lines: dict[str, None] = {}
+    failures = (e.failed, *e.secondary) if e.failed is not None else ()
+    for failed in failures:
+        for lm, action in failed.unordered:
+            lines.setdefault(
+                f"ordering enforcement for subgoal {format_formula(e.table, lm.formula)} "
+                f"dropped on action {action} (conditional-effect expansion exceeds "
+                f"{CLAUSE_CAP} clauses)")
+    return list(lines)
 
 
 def _update_lines(table: FluentTable, updates) -> list[str]:

@@ -65,9 +65,10 @@ handled conservatively: a conditional add counts once its condition is
 pairwise reachable together with the precondition, conditional deletes
 are ignored, and adds win over deletes. So the pair set can only hold
 more pairs than the exact one, and an "unsolvable" from it is still
-exact. The pair set is built at the gate and then dropped: a scan
-stops at its first unsolvable step, and no solvable search reaches the
-gate, so no later search over the same tables would read it. The check
+exact. The pair set is built at the gate and is not kept in the
+tables: a scan stops at its first unsolvable step, and no solvable
+search reaches the gate, so no later search over the same tables would
+read it. It stays on the "unsolvable" result it proves. The check
 answers only a search whose budget lets it reach the gate: a search with
 ``max_nodes <= gate`` returns what plain breadth-first search returns,
 and above that, a search that plain breadth-first search would end
@@ -78,13 +79,21 @@ compiled without the relaxed filter, since a projection can make more
 reachable, and projected by clearing bits (project_ops), with stored
 plans replayed on them (replays). Plans, results and every signature
 keep fluent ids and action names.
+
+An "unsolvable" that needs no exhausted state space carries the
+inductive invariant that proves it, its certificate, which
+certificate.py checks without this module: the relaxed-reachable set
+of a relaxed exit, or the pair set of a refutation at the gate. A
+certificate over bits holds the fluent order of its bits, the key
+order of compile_masks' bits. A breadth-first proof carries none: it
+has no cheaper certificate than its closed set.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ResourceExhaustedError
 # apply_action is not called here; it is imported only so that the
@@ -128,11 +137,21 @@ class SearchResult:
     node decided by replaying another node's plan (see
     ``AbstractionLattice.solvability``) carries that plan, which is
     valid on the node but need not be its first shortest.
+
+    An "unsolvable" result carries its certificate in proof (see
+    ``certificate.check``): for a relaxed exit, the relaxed-reachable
+    set, as fluent ids from decide_solvable and as (order, bits) from
+    decide_masks; for a refutation at the gate, (order, (reached,
+    partners)) as _pairs built it, order being the fluent ids of the
+    bits in bit order. An "unsolvable" from a breadth-first search that
+    exhausted its state space, and every other result, has None.
+    Results compare without it.
     """
 
     status: str  # SOLVABLE | UNSOLVABLE | EXHAUSTED
     plan: Plan | None = None
     detail: str | None = None
+    proof: object = field(default=None, compare=False, repr=False)
 
     @property
     def solvable(self) -> bool:
@@ -261,21 +280,23 @@ def decide_solvable(m: PlanningModel, limits: SearchLimits | None = None,
         reached = tables["reached"] = relaxed_reachable(m)
     # the same exit as decide_masks', taken before any mask is compiled
     if not m.goal <= reached:
-        return SearchResult(UNSOLVABLE)
+        return SearchResult(UNSOLVABLE, proof=reached)
     masks = tables.get("masks")
     if masks is None:
         masks = tables["masks"] = compile_masks(m, reached)
         # the relaxed fixpoint of ops filtered on reached is reached itself
         tables["relaxed"] = fluent_mask(masks[0], reached)
     bits, init, ops = masks
-    return decide_masks(init, fluent_mask(bits, m.goal), ops, limits, tables)
+    return decide_masks(bits, init, fluent_mask(bits, m.goal), ops, limits, tables)
 
 
-def decide_masks(init: int, goal: int, ops, limits: SearchLimits | None = None,
+def decide_masks(bits, init: int, goal: int, ops, limits: SearchLimits | None = None,
                  tables: dict | None = None) -> SearchResult:
     """Decide whether a goal state is reachable from init over ops.
 
-    The masks are those of compile_masks, or a projection of them. The
+    bits, init and ops are those of compile_masks, the ops perhaps
+    projected; bits, or a tuple of its keys, only names the fluents of a
+    certificate's bits, which carries them as a tuple. The
     relaxed-reachable bits and the successor index of the ops that can
     fire within them do not depend on the goal; given tables, they are
     kept there (or found there) for the next call with the same init
@@ -289,11 +310,11 @@ def decide_masks(init: int, goal: int, ops, limits: SearchLimits | None = None,
     if relaxed is None:
         relaxed = tables["relaxed"] = _relaxed(init, ops)
     if goal & relaxed != goal:
-        return SearchResult(UNSOLVABLE)
+        return SearchResult(UNSOLVABLE, proof=(tuple(bits), relaxed))
     index = tables.get("live")
     if index is None:
         index = tables["live"] = _live(ops, relaxed, init)
-    return _bfs(init, goal, index, limits)
+    return _bfs(bits, init, goal, index, limits)
 
 
 def _relaxed(init: int, ops) -> int:
@@ -360,9 +381,10 @@ def _live(ops, reached: int, init: int):
     return always, keys, buckets
 
 
-def _bfs(init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
+def _bfs(bits, init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
     """Breadth-first search over _live's successor index; a search keeps
-    only its closed set (parent) and its queue."""
+    only its closed set (parent) and its queue. A refutation at the gate
+    carries its pair set, with bits, as its proof."""
     always, keys, buckets = index
     gate = GATE * (len(always) + sum(map(len, buckets.values())))
     deadline = time.monotonic() + limits.max_seconds
@@ -374,8 +396,10 @@ def _bfs(init: int, goal: int, index, limits: SearchLimits) -> SearchResult:
             return SearchResult(EXHAUSTED, None, f"node budget {limits.max_nodes} reached")
         if not expanded & 255 and time.monotonic() >= deadline:
             return SearchResult(EXHAUSTED, None, f"time budget {limits.max_seconds}s reached")
-        if expanded == gate and not _pairwise(goal, _pairs(init, index)):
-            return SearchResult(UNSOLVABLE)
+        if expanded == gate:
+            pairs = _pairs(init, index)
+            if not _pairwise(goal, pairs):
+                return SearchResult(UNSOLVABLE, proof=(tuple(bits), pairs))
         state = queue.popleft()
         expanded += 1
         ops = always[:]

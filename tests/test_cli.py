@@ -403,6 +403,35 @@ def test_explain_wrong_lattice_exit_four(capsys, monkeypatch):
     assert captured.err == "self-check failed: the top node ['conn', 'rocks'] is solvable\n"
 
 
+def test_explain_unreplayable_scan_plan_exit_four(capsys, monkeypatch):
+    """The achieved prefix rests on replaying each step's plan: a scan
+    search that returns a plan one step short is refused."""
+    achievability = importlib.import_module("noplan.achievability")
+    search = achievability.decide_solvable
+    cut = []
+
+    def short(model, limits=None, tables=None):
+        result = search(model, limits, tables)
+        if result.solvable and result.plan:
+            cut.append(result.plan)
+            return SearchResult(result.status, result.plan[:-1])
+        return result
+
+    monkeypatch.setattr(achievability, "decide_solvable", short)
+    base = INSTANCES / "rover_grid"
+    code = main([
+        "explain",
+        "--domain", str(base / "domain.pddl"),
+        "--problem", str(base / "problem.pddl"),
+        "--lattice", str(base / "lattice.json"),
+    ])
+    assert code == 4 and cut
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("self-check failed: achievability of landmark ")
+    assert captured.err.endswith(": the plan found does not replay\n")
+
+
 # The key is grabbed once, and finishing spends it; the goal needs the
 # key and finishing together, which the four free bits hide from a
 # small node budget. Nothing opens the lock, so the concrete model is

@@ -3,6 +3,7 @@ import importlib
 import json
 import sys
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,18 +17,21 @@ from noplan.abstraction import (
     load_lattice_spec,
     minimum_abstraction_set,
 )
-from noplan.errors import ModelUnsolvableError, ResourceExhaustedError
+from noplan.errors import ModelUnsolvableError, PipelineError, ResourceExhaustedError
 from noplan.explain import (
     EXEMPLAR_ALWAYS,
     EXEMPLAR_NEVER,
     STATUS_EXPLAINED,
     STATUS_SOLVABLE,
     STATUS_TOP_UNSOLVABLE,
+    Explanation,
     _write_json,
     exemplar_failure,
     explain,
+    machine_json,
     render,
 )
+from noplan.model import DnfFormula
 from noplan.pddl import ground, parse_model
 from noplan.search import SearchLimits, decide_solvable
 
@@ -376,29 +380,51 @@ def test_explain_builds_each_artifact_once(tmp_path, monkeypatch, minirover, min
 
 def test_subgoal_verification_searches_on_tables_of_its_own(monkeypatch, minirover,
                                                            minirover_spec):
-    """Every step of the scan searches on the scan's one tables dict;
-    self-verification searches the model the scan found unsolvable with
-    none, so it builds tables of its own."""
-    original = achievability.decide_solvable
-    scans, verifies = [], []
+    """Every step of the scan searches on the scan's one tables dict.
+    Self-verification checks the model the scan found unsolvable against
+    that step's certificate alone, and passes no table of the scan;
+    without a certificate it searches the model with no tables, so it
+    builds tables of its own."""
+    explain_module = importlib.import_module("noplan.explain")
+    original, check = achievability.decide_solvable, explain_module.check
+    scans, checks, verifies = [], [], []
+    strip = []
 
     def scan(model, limits=None, tables=None):
         result = original(model, limits, tables)
+        if strip:
+            result = replace(result, proof=None)
         scans.append((model, tables, result))
         return result
+
+    def checked(model, proof):
+        checks.append((model, proof))
+        return check(model, proof)
 
     def search(model, limits=None, tables=None):
         verifies.append((model, tables))
         return original(model, limits, tables)
 
     monkeypatch.setattr(achievability, "decide_solvable", scan)
-    monkeypatch.setattr(importlib.import_module("noplan.explain"), "decide_solvable", search)
-    e = explain(minirover, minirover_spec)
-    assert e.status == STATUS_EXPLAINED and not e.secondary
-    shared = scans[0][1]
-    assert shared and all(tables is shared for _, tables, _ in scans)
-    scanned = next(model for model, _, result in scans if not result.solvable)
-    assert [tables for model, tables in verifies if model is scanned] == [None]
+    monkeypatch.setattr(explain_module, "check", checked)
+    monkeypatch.setattr(explain_module, "decide_solvable", search)
+    for stripped in (False, True):
+        strip[:] = [True] if stripped else []
+        scans.clear(), checks.clear(), verifies.clear()
+        e = explain(minirover, minirover_spec)
+        assert e.status == STATUS_EXPLAINED and not e.secondary
+        shared = scans[0][1]
+        assert shared and all(tables is shared for _, tables, _ in scans)
+        scanned, proof = next((model, result.proof) for model, _, result in scans
+                              if not result.solvable)
+        on_scanned = [args for args in checks if args[0] is scanned]
+        if stripped:
+            assert on_scanned == []
+            assert [tables for model, tables in verifies if model is scanned] == [None]
+        else:
+            assert proof is not None and on_scanned == [(scanned, proof)]
+            assert shared not in on_scanned[0]
+            assert not any(model is scanned for model, _ in verifies)
 
 
 def test_final_goal_failure_is_not_searched_again(monkeypatch):
@@ -427,10 +453,24 @@ def test_final_goal_failure_is_not_searched_again(monkeypatch):
     assert "self-verification of the failed subgoal" not in stages
 
 
+def _record_verifications(monkeypatch, record):
+    """Call record(model, proof, stage) for each claim explain verifies,
+    by certificate or by a fresh search, before verifying it."""
+    explain_module = importlib.import_module("noplan.explain")
+    original = explain_module._unsolvable
+
+    def recorded(model, proof, stage, limits):
+        record(model, proof, stage)
+        return original(model, proof, stage, limits)
+
+    monkeypatch.setattr(explain_module, "_unsolvable", recorded)
+
+
 def test_unsolvable_at_top_report_is_self_verified(monkeypatch):
     """p_x is projected at the top, so b still reaches q_y but nothing
     reaches g: every level is unsolvable. The top report's failed goal
-    conjunct g and its level are both searched again."""
+    conjunct g and its level are both verified, each by the certificate
+    of the relaxed exit that proved it."""
     m, _ = build_model(
         ["p_x", "q_y", "g"],
         [("a", [], ["p_x"], []), ("b", ["p_x"], ["q_y"], [])],
@@ -439,43 +479,49 @@ def test_unsolvable_at_top_report_is_self_verified(monkeypatch):
     )
     explain_module = importlib.import_module("noplan.explain")
     original = explain_module.decided
-    stages = []
+    stages, proofs = [], []
 
     def record(result, stage):
         stages.append(stage)
         return original(result, stage)
 
+    def verified(model, proof, stage):
+        stages.append(stage)
+        proofs.append(proof)
+
     monkeypatch.setattr(explain_module, "decided", record)
+    _record_verifications(monkeypatch, verified)
     e = explain(m, LatticeSpec((("ps", ("p",)),)))
     assert e.status == STATUS_TOP_UNSOLVABLE
     assert _names(m, e.failed) == {"g"} and not e.failed.is_final_goal
     assert stages == ["solvability of the concrete model",
                       "self-verification of the failed subgoal",
                       "self-verification of the explanatory level"]
+    assert all(proof is not None for proof in proofs)
 
 
 @pytest.mark.parametrize("instance", ["rover_grid", "minirover"])
 def test_level_is_searched_again_with_no_compilation_alive(monkeypatch, instance):
     """A level's scan compilation is dropped before the level itself is
-    searched again, so the two are never alive together."""
+    verified, by its certificate or by a fresh search, so the two are
+    never alive together."""
     explain_module = importlib.import_module("noplan.explain")
     compiled = []
-    calls = []  # (id of the searched model, whether a compilation is alive)
-    scan, search = explain_module.first_unachievable, explain_module.decide_solvable
+    calls = []  # (id of the verified model, whether a compilation is alive)
+    scan = explain_module.first_unachievable
 
     def keep_weakref(*args, **kwargs):
         failed = scan(*args, **kwargs)
         compiled.append(weakref.ref(failed.compiled))
         return failed
 
-    def record(model, limits=None, tables=None):
+    def record(model, proof, stage):
         gc.collect()
         # ids, not models: a stored model would keep itself alive
         calls.append((id(model), any(ref() is not None for ref in compiled)))
-        return search(model, limits, tables)
 
     monkeypatch.setattr(explain_module, "first_unachievable", keep_weakref)
-    monkeypatch.setattr(explain_module, "decide_solvable", record)
+    _record_verifications(monkeypatch, record)
     base = INSTANCES / instance
     m = ground(parse_model((base / "domain.pddl").read_text(),
                            (base / "problem.pddl").read_text()))
@@ -487,21 +533,42 @@ def test_level_is_searched_again_with_no_compilation_alive(monkeypatch, instance
 
 
 def test_root_target_verification_builds_its_own_relaxed_set(monkeypatch, minirover_texts):
-    """With one group, the explanatory level is the root itself; its
-    self-verification does not reuse the root decision's relaxed set."""
+    """With one group, the explanatory level is the root itself. It is
+    checked against m with the relaxed set of the root decision, which
+    is built once; a copy of that set with any one atom removed is
+    rejected, and explain raises PipelineError."""
     m = ground(parse_model(*minirover_texts))
+    spec = LatticeSpec((("rocks", ("clear",)),))
     original = search_module.relaxed_reachable
-    calls = []
+    calls, levels = [], []
 
     def spy(model, banned=frozenset()):
         calls.append(model)
         return original(model, banned)
 
+    def record(model, proof, stage):
+        if stage == "self-verification of the explanatory level":
+            levels.append((model, proof))
+
     monkeypatch.setattr(search_module, "relaxed_reachable", spy)
-    e = explain(m, LatticeSpec((("rocks", ("clear",)),)))
+    _record_verifications(monkeypatch, record)
+    e = explain(m, spec)
     assert e.status == STATUS_EXPLAINED
     assert e.failed.level.projected == frozenset()
-    assert sum(model is m for model in calls) == 2
+    assert sum(model is m for model in calls) == 1
+    reached = original(m)
+    assert len(levels) == 1 and levels[0][0] is m and levels[0][1] == reached
+
+    explain_module = importlib.import_module("noplan.explain")
+    search = explain_module.decide_solvable
+    for atom in sorted(reached):
+        def corrupt(model, limits=None, tables=None):
+            result = search(model, limits, tables)
+            return replace(result, proof=result.proof - {atom}) if model is m else result
+
+        monkeypatch.setattr(explain_module, "decide_solvable", corrupt)
+        with pytest.raises(PipelineError, match="self-verification of the explanatory level"):
+            explain(m, spec)
 
 
 def _written(value) -> str:
@@ -532,3 +599,43 @@ def test_json_writer_matches_standard_encoder(value):
 def test_json_writer_rejects_types_a_rendering_never_holds(value):
     with pytest.raises(TypeError):
         _written(value)
+
+
+def _capped_failure():
+    """A scan whose compilation goes over the clause cap: g needs the
+    wide p and q disjunctions first, 9 x 9 clauses for win, and win can
+    never fire."""
+    n = 9
+    names = [f"p{i}" for i in range(n)] + [f"q{i}" for i in range(n)] + ["g", "key"]
+    actions = [(f"mkp{i}", [], [f"p{i}"], []) for i in range(n)]
+    actions += [(f"mkq{i}", [], [f"q{i}"], []) for i in range(n)]
+    actions.append(("win", ["key"], ["g"], []))
+    m, ids = build_model(names, actions, [], ["g"])
+    lms = (
+        landmarks.Landmark(0, DnfFormula.atom(ids["g"]), is_goal_conjunct=True),
+        landmarks.Landmark(1, DnfFormula.build([{ids[f"p{i}"]} for i in range(n)])),
+        landmarks.Landmark(2, DnfFormula.build([{ids[f"q{i}"]} for i in range(n)])),
+    )
+    graph = landmarks.LandmarkGraph(lms, (
+        landmarks.Ordering(1, 0, landmarks.GREEDY_NECESSARY),
+        landmarks.Ordering(2, 0, landmarks.GREEDY_NECESSARY),
+    ))
+    return m, lms, achievability.first_unachievable(m, graph, decide_solvable(m))
+
+
+def test_clause_cap_is_reported_in_the_output():
+    m, lms, failed = _capped_failure()
+    assert failed.landmark == lms[0] and failed.unordered == ((lms[0], "win"),)
+    e = Explanation(STATUS_TOP_UNSOLVABLE, m.table, failed=failed)
+    text = ("ordering enforcement for subgoal g dropped on action win "
+            "(conditional-effect expansion exceeds 64 clauses)")
+    assert render(e, "human").endswith("\n\nwarning: " + text)
+    assert render(e, "machine")["warnings"] == [text]
+    assert json.loads(machine_json(e))["warnings"] == [text]
+
+
+def test_no_warnings_key_without_a_degradation(minirover, minirover_spec):
+    e = explain(minirover, minirover_spec)
+    assert e.failed.unordered == ()
+    assert "warnings" not in render(e, "machine")
+    assert "warning:" not in render(e, "human")
