@@ -89,9 +89,10 @@ class ExplanatorySet:
 class LatticeNode:
     """One lattice element: its projected groups, decision and model.
 
-    ``gone`` holds the fluents of the projected groups. ``model``, the
-    root without them, is built the first time it is read; deciding a
-    node does not read it. ``solvable`` is None until decided. A
+    ``members`` holds the member sets of the projected groups, and
+    ``gone``, their union, is built the first time it is read. ``model``,
+    the root without them, is built the first time it is read too;
+    deciding a node reads neither. ``solvable`` is None until decided. A
     solvable decision's plan is valid on ``model``; it is the first
     shortest plan only when this node was searched rather than decided
     by replay.
@@ -99,12 +100,16 @@ class LatticeNode:
 
     projected: frozenset[str]
     root: PlanningModel = field(repr=False, compare=False)
-    gone: frozenset[int] = frozenset()
+    members: tuple[frozenset[int], ...] = field(default=(), repr=False, compare=False)
     solvable: SearchResult | None = None
 
     @functools.cached_property
+    def gone(self) -> frozenset[int]:
+        return frozenset().union(*self.members)
+
+    @functools.cached_property
     def model(self) -> PlanningModel:
-        return project_model(self.root, self.gone) if self.gone else self.root
+        return project_model(self.root, self.gone) if self.members else self.root
 
 
 def project_model(m: PlanningModel, fluents) -> PlanningModel:
@@ -180,8 +185,8 @@ class AbstractionLattice:
             raise LatticeError(f"projected set {sorted(projected)} is forbidden")
         node = self._nodes.get(projected)
         if node is None:
-            gone = frozenset().union(*(self.groups[g].members for g in projected))
-            node = LatticeNode(projected, self.root, gone)
+            node = LatticeNode(projected, self.root,
+                               tuple(self.groups[g].members for g in projected))
             self._nodes[projected] = node
         return node
 
@@ -196,13 +201,23 @@ class AbstractionLattice:
         return out
 
     def maximal_projected_sets(self) -> list[frozenset[str]]:
-        # allowed sets are closed under subsets, so a set is maximal
-        # when adding any one more group forbids it
-        return sorted(
-            (p for p in self.all_projected_sets()
-             if not any(self.allowed(p | {g}) for g in self.groups.keys() - p)),
-            key=lambda p: tuple(sorted(p)),
-        )
+        """The maximal allowed sets, sorted by their sorted names.
+
+        A set is allowed when it holds no forbidden combination, that
+        is, when the groups it leaves out hit every combination. So the
+        maximal allowed sets are the complements of the minimal hitting
+        sets of the forbidden combinations (Reiter, "A Theory of
+        Diagnosis from First Principles", AIJ 1987), computed here one
+        combination at a time (Berge's algorithm) without enumerating
+        the subsets of the groups.
+        """
+        hitting = [frozenset()]
+        for combo in self.forbidden:
+            grown = {h for h in hitting if h & combo}
+            grown.update(h | {g} for h in hitting if not h & combo for g in combo)
+            hitting = [h for h in grown if not any(o < h for o in grown)]
+        names = frozenset(self.groups)
+        return sorted((names - h for h in hitting), key=lambda p: tuple(sorted(p)))
 
     def solvability(self, node: LatticeNode) -> SearchResult:
         """The node's decision, made once, on the root's search masks.
@@ -407,7 +422,7 @@ def resolve_groups(m: PlanningModel, spec: LatticeSpec) -> list[FluentGroup]:
             listing.setdefault(pred, []).append(position)
     matched: list[set[int]] = [set() for _ in spec.groups]
     for fid in m.fluents:
-        for position in listing.get(m.table.fluent(fid).name, ()):
+        for position in listing.get(m.table.key(fid)[0], ()):
             matched[position].add(fid)
     out = []
     owner: dict[int, str] = {}

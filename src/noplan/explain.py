@@ -72,6 +72,7 @@ from .model import (
     formula_names,
     validate_plan,
 )
+from .nogc import nogc
 from .pddl import write_domain, write_problem
 from .search import SearchLimits, decide_solvable, decided
 
@@ -104,6 +105,7 @@ class Explanation:
                 )
 
 
+@nogc
 def explain(m: PlanningModel, lattice_spec: LatticeSpec, advice_text: str | None = None,
             *, limits: SearchLimits | None = None, exemplar: str = EXEMPLAR_AUTO,
             dump_dir: str | None = None) -> Explanation:

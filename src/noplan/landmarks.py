@@ -107,6 +107,10 @@ def extract_landmarks(m: PlanningModel) -> LandmarkGraph:
     """Extract a sound landmark graph from a solvable model.
 
     Solvability is the caller's to establish: m is not searched here.
+    Each relaxed fixpoint is computed once per distinct set of banned
+    achievers and kept for the rest of the call: a candidate confirmed
+    by banning its achievers bans the same set again when it is
+    processed as a landmark.
     """
     static = _static_fluents(m)
     achievers_of: dict[int, set[int]] = {}  # fluent -> positions in m.actions
@@ -117,6 +121,8 @@ def extract_landmarks(m: PlanningModel) -> LandmarkGraph:
     by_formula: dict[frozenset, Landmark] = {}
     orderings: set[Ordering] = set()
     succ: dict[int, set[int]] = {}
+    # banned achiever names -> relaxed-reachable fluents without them
+    relaxed: dict[frozenset[str], set[int]] = {}
 
     def register(formula: DnfFormula, goal_conjunct: bool = False) -> Landmark:
         lm = by_formula.get(formula.disjuncts)
@@ -158,7 +164,7 @@ def extract_landmarks(m: PlanningModel) -> LandmarkGraph:
         targets = lm.formula.fluents
         positions = {i for f in targets for i in achievers_of.get(f, ())}
         achievers = [m.actions[i] for i in sorted(positions)]
-        reachable = relaxed_reachable(m, banned={a.name for a in achievers})
+        reachable = _reachable_without(m, frozenset([a.name for a in achievers]), relaxed)
         feasible = []
         for a in achievers:
             conds = [e.condition for e in a.effects if e.adds & targets]
@@ -168,7 +174,7 @@ def extract_landmarks(m: PlanningModel) -> LandmarkGraph:
             continue
         single = len(achievers) == 1
         for cand in _candidates(m, feasible, targets, static):
-            if not holds(m.init, cand) and not _confirmed(m, cand, achievers_of):
+            if not holds(m.init, cand) and not _confirmed(m, cand, achievers_of, relaxed):
                 continue
             pred = register(cand)
             if pred.id == lm.id or reaches(lm.id, pred.id):
@@ -195,7 +201,7 @@ def _candidates(m, feasible, targets, static):
     common = frozenset.intersection(*required) - targets
     common = {f for f in common if f not in static}
     out = [DnfFormula.atom(f) for f in sorted(common)]
-    covered_preds = {m.table.fluent(f).name for f in common}
+    covered_preds = {m.table.key(f)[0] for f in common}
 
     by_pred: dict[str, list[set[int]]] = {}
     for req in required:
@@ -203,7 +209,7 @@ def _candidates(m, feasible, targets, static):
         for f in req - targets:
             if f in static:
                 continue
-            per_action.setdefault(m.table.fluent(f).name, set()).add(f)
+            per_action.setdefault(m.table.key(f)[0], set()).add(f)
         for pred, fs in per_action.items():
             by_pred.setdefault(pred, []).append(fs)
     for pred in sorted(by_pred):
@@ -219,11 +225,20 @@ def _candidates(m, feasible, targets, static):
     return out
 
 
-def _confirmed(m: PlanningModel, formula: DnfFormula, achievers_of) -> bool:
+def _confirmed(m: PlanningModel, formula: DnfFormula, achievers_of, relaxed) -> bool:
     """Sound landmark test: no relaxed plan survives removing all achievers
     (achievers_of: each fluent's achiever positions in m.actions)."""
-    banned = {m.actions[i].name for f in formula.fluents for i in achievers_of.get(f, ())}
-    return not m.goal <= relaxed_reachable(m, banned=banned)
+    banned = frozenset([m.actions[i].name for f in formula.fluents
+                        for i in achievers_of.get(f, ())])
+    return not m.goal <= _reachable_without(m, banned, relaxed)
+
+
+def _reachable_without(m: PlanningModel, banned: frozenset[str], relaxed: dict) -> set[int]:
+    """relaxed_reachable(m, banned), computed once per banned set in relaxed."""
+    reached = relaxed.get(banned)
+    if reached is None:
+        reached = relaxed[banned] = relaxed_reachable(m, banned=banned)
+    return reached
 
 
 def _static_fluents(m: PlanningModel) -> frozenset[int]:

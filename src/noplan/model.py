@@ -35,42 +35,47 @@ class Fluent:
 
     @property
     def canonical(self) -> str:
-        if not self.args:
-            return self.name
-        return self.name + "_" + "_".join(self.args)
+        return _canonical(self.name, self.args)
 
     @property
     def sexpr(self) -> str:
-        if not self.args:
-            return f"({self.name})"
-        return f"({self.name} {' '.join(self.args)})"
+        return _sexpr(self.name, self.args)
+
+
+def _canonical(name: str, args: tuple[str, ...]) -> str:
+    return name + "_" + "_".join(args) if args else name
+
+
+def _sexpr(name: str, args: tuple[str, ...]) -> str:
+    return f"({name} {' '.join(args)})" if args else f"({name})"
 
 
 class FluentTable:
     """Interning table for fluents, shared across one model family.
 
-    Ids are dense, assigned in interning order. The table also records
+    Ids are dense, assigned in interning order. Each id keeps only its
+    interning key, the ``(name, args)`` pair; ``fluent`` builds a
+    ``Fluent`` view of it on request. The table also records
     complement pairs (p, not-p) produced when negative conditions are
     compiled away; complements of a fluent must follow it through
     projections and groups, so the pairing is kept here, next to the ids.
     """
 
     def __init__(self) -> None:
-        self._fluents: list[Fluent] = []
+        self._keys: list[tuple[str, tuple[str, ...]]] = []
         self._index: dict[tuple[str, tuple[str, ...]], int] = {}
         self._complement: dict[int, int] = {}
         self._negatives: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self._fluents)
+        return len(self._keys)
 
     def intern(self, name: str, args: tuple[str, ...] = ()) -> int:
         key = (name, tuple(args))
         fid = self._index.get(key)
         if fid is None:
-            fid = len(self._fluents)
-            self._fluents.append(Fluent(fid, name, tuple(args)))
-            self._index[key] = fid
+            fid = self._index[key] = len(self._keys)
+            self._keys.append(key)
         return fid
 
     def get(self, name: str, args: tuple[str, ...] = ()) -> int | None:
@@ -82,14 +87,18 @@ class FluentTable:
             raise KeyError(f"unknown fluent ({name} {' '.join(args)})")
         return fid
 
+    def key(self, fid: int) -> tuple[str, tuple[str, ...]]:
+        """The fluent's predicate name and arguments."""
+        return self._keys[fid]
+
     def fluent(self, fid: int) -> Fluent:
-        return self._fluents[fid]
+        return Fluent(fid, *self._keys[fid])
 
     def canonical(self, fid: int) -> str:
-        return self._fluents[fid].canonical
+        return _canonical(*self._keys[fid])
 
     def sexpr(self, fid: int) -> str:
-        return self._fluents[fid].sexpr
+        return _sexpr(*self._keys[fid])
 
     def register_complement(self, pos: int, neg: int) -> None:
         self._complement[pos] = neg
@@ -115,13 +124,14 @@ class FluentTable:
         existing = self._complement.get(pos)
         if existing is not None:
             return existing
-        f = self._fluents[pos]
-        if self.get("not-" + f.name, f.args) is not None:
+        name, args = self._keys[pos]
+        if ("not-" + name, args) in self._index:
+            canonical = _canonical(name, args)
             raise error(
-                f"the complement of {f.canonical} would be named not-{f.canonical}, "
-                f"which the input already uses; rename the predicate not-{f.name}"
+                f"the complement of {canonical} would be named not-{canonical}, "
+                f"which the input already uses; rename the predicate not-{name}"
             )
-        neg = self.intern("not-" + f.name, f.args)
+        neg = self.intern("not-" + name, args)
         self.register_complement(pos, neg)
         return neg
 
@@ -145,7 +155,7 @@ class FluentTable:
     def clone(self) -> "FluentTable":
         """Independent copy; existing ids are preserved."""
         other = FluentTable()
-        other._fluents = list(self._fluents)
+        other._keys = list(self._keys)
         other._index = dict(self._index)
         other._complement = dict(self._complement)
         other._negatives = set(self._negatives)
@@ -202,14 +212,16 @@ class PlanningModel:
             raise ModelError("initial state mentions fluents outside the model")
         if not self.goal <= self.fluents:
             raise ModelError("goal mentions fluents outside the model")
+        fluents = self.fluents
         by_name: dict[str, Action] = {}
         for a in self.actions:
             if a.name in by_name:
                 raise ModelError(f"duplicate action name {a.name}")
-            scope = a.prec
+            inside = a.prec <= fluents
             for e in a.effects:
-                scope = scope | e.condition | e.adds | e.dels
-            if not scope <= self.fluents:
+                inside = (inside and e.condition <= fluents
+                          and e.adds <= fluents and e.dels <= fluents)
+            if not inside:
                 raise ModelError(f"action {a.name} mentions fluents outside the model")
             by_name[a.name] = a
         object.__setattr__(self, "_by_name", by_name)

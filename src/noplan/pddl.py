@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 from .errors import PddlError
 from .model import Action, Effect, FluentTable, PlanningModel, maintain_complements
+from .nogc import nogc
 from .search import relaxed_reachable
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s();]+")
@@ -290,6 +291,7 @@ def _find_form(forms, kind: str):
     return None
 
 
+@nogc
 def parse_model(domain_text: str, problem_text: str) -> LiftedModel:
     """Parse a domain and a problem text into one lifted model.
 
@@ -469,6 +471,7 @@ def _check_ground_atoms(lifted: LiftedModel) -> None:
 # Grounding
 
 
+@nogc
 def ground(lifted: LiftedModel) -> PlanningModel:
     """Instantiate a lifted model into a grounded PlanningModel.
 
@@ -654,11 +657,11 @@ def _static_predicates(lifted: LiftedModel) -> set[str]:
 def write_domain(m: PlanningModel, name: str = "compiled") -> str:
     preds: dict[tuple[str, int], None] = {}
     for fid in sorted(m.fluents):
-        f = m.table.fluent(fid)
-        preds.setdefault((f.name, len(f.args)), None)
+        pred, fargs = m.table.key(fid)
+        preds.setdefault((pred, len(fargs)), None)
     lines = [f"(define (domain {name})",
              "  (:requirements :strips :conditional-effects)"]
-    consts = sorted({a for fid in m.fluents for a in m.table.fluent(fid).args})
+    consts = sorted({a for fid in m.fluents for a in m.table.key(fid)[1]})
     if consts:
         lines.append(f"  (:constants {' '.join(consts)})")
     decls = []

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,17 @@ from noplan.model import Action, Effect, FluentTable, PlanningModel
 from noplan.pddl import ground, parse_model
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+def cyclic_garbage(call, *args) -> int:
+    """The objects that only the cyclic collector frees after call(*args)."""
+    gc.collect()
+    gc.disable()
+    try:
+        call(*args)
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def simple_action(name, prec=(), adds=(), dels=()) -> Action:

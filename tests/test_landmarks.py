@@ -1,5 +1,7 @@
 import pytest
 
+from noplan import landmarks
+from noplan.abstraction import load_lattice_spec, resolve_groups
 from noplan.errors import CycleError
 from noplan.landmarks import (
     GREEDY_NECESSARY,
@@ -13,8 +15,10 @@ from noplan.landmarks import (
     linearize,
 )
 from noplan.model import DnfFormula, holds
+from noplan.pddl import ground, parse_model
+from noplan.search import relaxed_reachable
 
-from .conftest import build_model
+from .conftest import INSTANCES, build_model
 from .oracles import (
     check_orderings_on_plans,
     landmark_holds_on_all_plans,
@@ -179,3 +183,32 @@ def test_refuted_landmarks_stay_refuted_downward(minirover):
         level = lat.node(projected)
         compiled = compile_achievability(level.model, g, at_l2)
         assert not decide_solvable(compiled).solvable
+
+
+def test_extract_computes_each_banned_set_once(monkeypatch):
+    """A relaxed fixpoint is computed once per distinct banned set, and
+    the graph is the one that a fresh fixpoint per test gives."""
+    base = INSTANCES / "rover_grid"
+    m = ground(parse_model((base / "domain.pddl").read_text(),
+                           (base / "problem.pddl").read_text()))
+    spec = load_lattice_spec((base / "lattice.json").read_text())
+    rocks = {g.name: g for g in resolve_groups(m, spec)}["rocks"]
+    level = m.without(rocks.members)  # the solvable rocks-projected level
+
+    calls = []
+
+    def record(model, banned=frozenset()):
+        calls.append(frozenset(banned))
+        return relaxed_reachable(model, banned)
+
+    monkeypatch.setattr(landmarks, "relaxed_reachable", record)
+    memoized = graph_to_json(level, extract_landmarks(level))
+    assert calls and len(calls) == len(set(calls))
+
+    distinct = set(calls)
+    calls.clear()
+    monkeypatch.setattr(landmarks, "_reachable_without",
+                        lambda model, banned, relaxed: record(model, banned))
+    assert graph_to_json(level, extract_landmarks(level)) == memoized
+    # without the memo some banned set is computed again
+    assert set(calls) == distinct and len(calls) > len(distinct)

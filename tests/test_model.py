@@ -11,6 +11,7 @@ from noplan.model import (
     DnfFormula,
     Effect,
     FluentTable,
+    PlanningModel,
     apply_action,
     format_formula,
     holds,
@@ -252,3 +253,38 @@ def test_complement_registry_roundtrip():
     assert clone.positive_of(n) == p
     clone.intern("fresh")
     assert t.get("fresh") is None
+
+
+def _stray_model(actions):
+    """A model over p and q whose actions may name a third fluent, stray."""
+    table = FluentTable()
+    p, q, stray = (table.intern(n) for n in ("p", "q", "stray"))
+    return PlanningModel(table, frozenset({p, q}), tuple(actions(p, q, stray)),
+                         frozenset({p}), frozenset({q}))
+
+
+def _effect(cond=(), adds=(), dels=()):
+    return Effect(frozenset(cond), frozenset(adds), frozenset(dels))
+
+
+@pytest.mark.parametrize("spot", ["precondition", "condition", "add", "delete"])
+def test_model_rejects_an_action_naming_a_fluent_outside_it(spot):
+    # stray sits in the second effect, so every effect is checked
+    def actions(p, q, stray):
+        prec = {stray} if spot == "precondition" else {p}
+        second = {"precondition": _effect(adds=[q]), "condition": _effect([stray], [q]),
+                  "add": _effect(adds=[stray]), "delete": _effect(dels=[stray])}[spot]
+        return [Action("ok", frozenset({p}), (_effect(adds=[q]),)),
+                Action("bad", frozenset(prec), (_effect(adds=[q]), second))]
+
+    with pytest.raises(ModelError, match="^action bad mentions fluents outside the model$"):
+        _stray_model(actions)
+
+
+def test_model_rejects_duplicate_action_names():
+    def actions(p, q, stray):
+        return [Action("a", frozenset({p}), (_effect(adds=[q]),)),
+                Action("a", frozenset(), (_effect(dels=[p]),))]
+
+    with pytest.raises(ModelError, match="^duplicate action name a$"):
+        _stray_model(actions)

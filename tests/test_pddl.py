@@ -1,4 +1,3 @@
-import gc
 import itertools
 
 import pytest
@@ -10,7 +9,7 @@ from noplan.errors import PddlError
 from noplan.pddl import MAX_DEPTH, _read_sexprs, ground, parse_model, write_domain, write_problem
 from noplan.search import decide_solvable
 
-from .conftest import INSTANCES
+from .conftest import INSTANCES, cyclic_garbage
 from .oracles import ground_by_product, same_content
 
 
@@ -80,35 +79,24 @@ def test_reader_errors_name_their_position(text, message):
     assert str(exc.value) == message
 
 
-def _cyclic_garbage(call, *args) -> int:
-    """The objects that only the cyclic collector frees after call(*args)."""
-    gc.collect()
-    gc.disable()
-    try:
-        call(*args)
-        return gc.collect()
-    finally:
-        gc.enable()
-
-
 def _texts(name):
     base = INSTANCES / name
     return (base / "domain.pddl").read_text(), (base / "problem.pddl").read_text()
 
 
-def test_parse_leaves_no_cyclic_garbage():
-    assert _cyclic_garbage(parse_model, *_texts("blocksworld")) == 0
+def test_parse_leaves_nocyclic_garbage():
+    assert cyclic_garbage(parse_model, *_texts("blocksworld")) == 0
 
 
 @pytest.mark.parametrize("name", ["blocksworld", "rover_grid"])
-def test_ground_leaves_no_cyclic_garbage(name):
-    assert _cyclic_garbage(ground, parse_model(*_texts(name))) == 0
+def test_ground_leaves_nocyclic_garbage(name):
+    assert cyclic_garbage(ground, parse_model(*_texts(name))) == 0
 
 
-def test_parse_advice_leaves_no_cyclic_garbage():
+def test_parse_advice_leaves_nocyclic_garbage():
     m = ground(parse_model(*_texts("blocksworld")))
     text = (INSTANCES / "blocksworld" / "advice.json").read_text()
-    assert _cyclic_garbage(parse_advice, text, m) == 0
+    assert cyclic_garbage(parse_advice, text, m) == 0
 
 
 def test_ground_minirover_matches_hand_model(minirover, minirover_hand):
