@@ -84,16 +84,16 @@ def _texts(name):
     return (base / "domain.pddl").read_text(), (base / "problem.pddl").read_text()
 
 
-def test_parse_leaves_nocyclic_garbage():
+def test_parse_leaves_no_cyclic_garbage():
     assert cyclic_garbage(parse_model, *_texts("blocksworld")) == 0
 
 
 @pytest.mark.parametrize("name", ["blocksworld", "rover_grid"])
-def test_ground_leaves_nocyclic_garbage(name):
+def test_ground_leaves_no_cyclic_garbage(name):
     assert cyclic_garbage(ground, parse_model(*_texts(name))) == 0
 
 
-def test_parse_advice_leaves_nocyclic_garbage():
+def test_parse_advice_leaves_no_cyclic_garbage():
     m = ground(parse_model(*_texts("blocksworld")))
     text = (INSTANCES / "blocksworld" / "advice.json").read_text()
     assert cyclic_garbage(parse_advice, text, m) == 0
