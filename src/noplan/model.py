@@ -67,6 +67,14 @@ class FluentTable:
         self._complement: dict[int, int] = {}
         self._negatives: set[int] = set()
 
+    @classmethod
+    def of_keys(cls, keys: list[tuple[str, tuple[str, ...]]]) -> "FluentTable":
+        """A table of the distinct keys, numbered in their order."""
+        table = cls()
+        table._keys = list(keys)
+        table._index = dict(zip(keys, range(len(keys))))
+        return table
+
     def __len__(self) -> int:
         return len(self._keys)
 

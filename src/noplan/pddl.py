@@ -8,23 +8,26 @@ and in every effect touching p, so everything downstream is positive.
 An action that deletes p in one effect and may add it back in another
 leaves not-p undetermined and is rejected with a PddlError.
 
-Grounding binds schema parameters one at a time by a join over the
-initial state: a parameter tested by a positive precondition on a
-static predicate (one that appears in no schema effect) takes its
-candidates from an index of that predicate's initial facts, keyed by
-the values bound before it, so only surviving actions are instantiated.
-Atoms get provisional ids as they are instantiated, and one sort of the
-distinct atoms gives the final ids, so exactly the fluents that occur
-in the surviving model are interned, in sorted order. Negated
-occurrences of static predicates are kept: an action permanently
-blocked by such a fluent is still part of the model and of anything
-derived from it.
+The reader makes one pass per line (lines end at \\r\\n, \\r or \\n) and
+builds a Tok only for a name. Grounding binds schema parameters one at a
+time by a join over the initial state: a parameter tested by a positive
+precondition on a static predicate (one that appears in no schema
+effect) takes its candidates from an index of that predicate's initial
+facts, keyed by the values bound before it, so only surviving actions
+are instantiated. Each schema atom is compiled once into an itemgetter
+of its argument slots, and numbered for all bindings in one C-level
+pass; one sort of the distinct atoms then gives the final ids, so
+exactly the fluents that occur in the surviving model are interned, in
+sorted order. Negated occurrences of static predicates are kept: an
+action permanently blocked by such a fluent is still part of the model
+and of anything derived from it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,6 +38,8 @@ from .nogc import nogc
 from .search import relaxed_reachable
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s();]+")
+_LINE_RE = re.compile(r"\r\n?|\n")
+_new_tok = tuple.__new__  # a Tok from (text, line, col), without Tok.__new__'s Python call
 
 REQUIREMENTS = {":strips", ":typing", ":negative-preconditions", ":conditional-effects"}
 
@@ -48,35 +53,31 @@ class Tok(NamedTuple):
     col: int
 
 
-def _tokenize(text: str) -> list[Tok]:
-    toks: list[Tok] = []
-    for ln, line in enumerate(text.split("\n"), start=1):
-        body = line.split(";", 1)[0]
-        for match in _TOKEN_RE.finditer(body):
-            toks.append(Tok(match.group(0), ln, match.start() + 1))
-    return toks
-
-
 def _read_sexprs(text: str):
-    """Parse every top-level s-expression in text into nested lists of Tok."""
-    forms: list = []
-    # each open parenthesis with the items read inside it so far
-    stack: list[tuple[Tok, list]] = []
-    for tok in _tokenize(text):
-        if tok.text == "(":
-            if len(stack) == MAX_DEPTH:
-                raise PddlError(f"parentheses nested deeper than {MAX_DEPTH}", tok.line, tok.col)
-            stack.append((tok, []))
-            continue
-        item = tok
-        if tok.text == ")":
-            if not stack:
-                raise PddlError("unexpected ')'", tok.line, tok.col)
-            item = stack.pop()[1]
-        (stack[-1][1] if stack else forms).append(item)
+    """Parse every top-level s-expression in text into nested lists of Tok;
+    a ';' comments out the rest of its line."""
+    items = forms = []  # items: the list the next item goes into
+    stack: list[tuple[list, int, int]] = []  # (enclosing list, line, col) per open '('
+    for ln, line in enumerate(_LINE_RE.split(text), start=1):
+        if ";" in line:
+            line = line[:line.index(";")]
+        for match in _TOKEN_RE.finditer(line):
+            tok = match[0]
+            if tok == "(":
+                if len(stack) == MAX_DEPTH:
+                    raise PddlError(f"parentheses nested deeper than {MAX_DEPTH}",
+                                    ln, match.start() + 1)
+                stack.append((items, ln, match.start() + 1))
+                items.append(inner := [])
+                items = inner
+            elif tok == ")":
+                if not stack:
+                    raise PddlError("unexpected ')'", ln, match.start() + 1)
+                items = stack.pop()[0]
+            else:
+                items.append(_new_tok(Tok, (tok, ln, match.start() + 1)))
     if stack:
-        opening = stack[-1][0]
-        raise PddlError("unbalanced parenthesis", opening.line, opening.col)
+        raise PddlError("unbalanced parenthesis", *stack[-1][1:])
     return forms
 
 
@@ -145,13 +146,8 @@ class LiftedModel:
 
     def subtypes(self, t: str) -> set[str]:
         out = {t}
-        changed = True
-        while changed:
-            changed = False
-            for child, parent in self.types.items():
-                if parent in out and child not in out:
-                    out.add(child)
-                    changed = True
+        while grown := {child for child, parent in self.types.items() if parent in out} - out:
+            out |= grown
         return out
 
     def objects_of(self, t: str) -> list[str]:
@@ -163,25 +159,19 @@ def _parse_typed_list(items, *, what: str) -> list[tuple[str, str]]:
     """Parse `a b - t c - t2 d` into [(name, type)], default type object."""
     out: list[tuple[str, str]] = []
     pending: list[Tok] = []
-    i = 0
-    while i < len(items):
-        tok = items[i]
+    rest = iter(items)
+    for tok in rest:
         if not isinstance(tok, Tok):
             raise PddlError(f"malformed {what} list")
-        if tok.text == "-":
-            if i + 1 >= len(items) or not isinstance(items[i + 1], Tok):
-                raise _err(tok, f"missing type after '-' in {what} list")
-            typ = items[i + 1].text.lower()
-            for p in pending:
-                out.append((p.text.lower(), typ))
-            pending = []
-            i += 2
+        if tok.text != "-":
+            pending.append(tok)
             continue
-        pending.append(tok)
-        i += 1
-    for p in pending:
-        out.append((p.text.lower(), "object"))
-    return out
+        typ = next(rest, None)
+        if not isinstance(typ, Tok):
+            raise _err(tok, f"missing type after '-' in {what} list")
+        out += [(p.text.lower(), typ.text.lower()) for p in pending]
+        pending = []
+    return out + [(p.text.lower(), "object") for p in pending]
 
 
 def _parse_atom(form, predicates, *, allow_vars: bool) -> LiftedAtom:
@@ -322,11 +312,9 @@ def parse_model(domain_text: str, problem_text: str) -> LiftedModel:
                 if req.text.lower() not in REQUIREMENTS:
                     raise _err(req, f"unsupported requirement {req.text}")
         elif head == ":types":
-            for name, parent in _parse_typed_list(section[1:], what="type"):
-                types[name] = parent
-            for name, parent in list(types.items()):
-                if parent not in types:
-                    types[parent] = "object"
+            types.update(_parse_typed_list(section[1:], what="type"))
+            for parent in list(types.values()):
+                types.setdefault(parent, "object")
         elif head == ":predicates":
             for p in section[1:]:
                 if not isinstance(p, list) or not p:
@@ -366,8 +354,7 @@ def parse_model(domain_text: str, problem_text: str) -> LiftedModel:
                     raise PddlError(f"undeclared type {t} for object {name}")
                 objects[name] = t
         elif head == ":init":
-            for atom in section[1:]:
-                init.append(_parse_atom(atom, predicates, allow_vars=False))
+            init.extend(_parse_atom(atom, predicates, allow_vars=False) for atom in section[1:])
         elif head == ":goal":
             if len(section) != 2:
                 raise _err(section[0], "(:goal ...) takes exactly one formula")
@@ -446,6 +433,7 @@ def _schema_atoms(schema: ActionSchema):
 
 
 def _check_ground_atoms(lifted: LiftedModel) -> None:
+    subtypes = functools.cache(lifted.subtypes)
     for where, atoms in (("init", lifted.init),
                          ("goal", lifted.goal_pos + lifted.goal_neg)):
         for atom in atoms:
@@ -453,7 +441,7 @@ def _check_ground_atoms(lifted: LiftedModel) -> None:
             for arg, t in zip(atom.args, expected):
                 if arg not in lifted.objects:
                     raise PddlError(f"undeclared object {arg} in {where}")
-                if lifted.objects[arg] not in lifted.subtypes(t):
+                if lifted.objects[arg] not in subtypes(t):
                     raise PddlError(
                         f"object {arg} (type {lifted.objects[arg]}) does not fit "
                         f"type {t} of predicate {atom.pred} in {where}"
@@ -475,94 +463,95 @@ def _check_ground_atoms(lifted: LiftedModel) -> None:
 def ground(lifted: LiftedModel) -> PlanningModel:
     """Instantiate a lifted model into a grounded PlanningModel.
 
-    Each schema atom is compiled once into its predicate and a template
-    of slots into the binding values (the schema's constants, then its
-    parameters), which ``_bindings`` draws by a join over the static
-    init facts. Atoms get provisional ids as they are instantiated; one
-    sort of the distinct atoms gives the final ids, in sorted order.
-    Negative preconditions, conditions and goals become complement
-    fluents; the fluents are exactly those of the surviving actions, the
-    initial state and the goal, with complement pairs kept whole.
+    Binding values are the schema's constants, then its parameters, as
+    ``_bindings`` draws them. Negative preconditions, conditions and
+    goals become complement fluents; the fluents are exactly those of
+    the surviving actions, the initial state and the goal, with
+    complement pairs kept whole.
     """
     static_preds = _static_predicates(lifted)
+    objects_of = functools.cache(lifted.objects_of)
     init_atoms = {(a.pred, a.args) for a in lifted.init}
     init_args: dict[str, list[tuple[str, ...]]] = {}
     for pred, args in init_atoms:
         init_args.setdefault(pred, []).append(args)
-    # each distinct atom's provisional id, in the order first met
+    # each distinct atom's provisional id: the count of atoms instantiated
+    # before its first instance, so ids are distinct but not dense
     provisional: dict[tuple[str, tuple[str, ...]], int] = {}
+    counter = itertools.count()
     negated: set[int] = set()
-    # (name, positive, negative, clauses) per action, in provisional ids
+    # (name, atom ids, layout) per action; the layout's slices of the ids
+    # are the positive and the negative preconditions and, per clause,
+    # the condition, adds and deletes
     grounded = []
     for schema in lifted.schemas:
-        consts = tuple(dict.fromkeys(arg for atom in _schema_atoms(schema)
+        parts = [schema.pos_pre, schema.neg_pre,
+                 *(part for e in schema.effects for part in (e.condition, e.adds, e.dels))]
+        atoms = [atom for part in parts for atom in part]
+        consts = tuple(dict.fromkeys(arg for atom in atoms
                                      for arg in atom.args if not arg.startswith("?")))
         slot = {arg: i for i, arg in enumerate(consts)}
         slot.update((var, len(consts) + i) for i, (var, _) in enumerate(schema.params))
-        pos = _templates(schema.pos_pre, slot)
-        neg = _templates(schema.neg_pre, slot)
-        clauses = [(_templates(e.condition, slot), _templates(e.adds, slot),
-                    _templates(e.dels, slot)) for e in schema.effects]
-        for combo in _bindings(lifted, schema, consts, pos, static_preds, init_atoms, init_args):
-            values = consts + combo
-            name = schema.name + "_" + "_".join(combo) if combo else schema.name
-            neg_ids = _instances(neg, values, provisional)
-            negated.update(neg_ids)
-            grounded.append((name, _instances(pos, values, provisional), neg_ids, [
-                tuple(_instances(t, values, provisional) for t in clause) for clause in clauses]))
-    init_ids = [provisional.setdefault(key, len(provisional)) for key in init_atoms]
-    goal_pos = [provisional.setdefault((a.pred, a.args), len(provisional))
-                for a in lifted.goal_pos]
-    goal_neg = [provisional.setdefault((a.pred, a.args), len(provisional))
-                for a in lifted.goal_neg]
+        slots = [tuple([slot[arg] for arg in atom.args]) for atom in atoms]
+        bounds = list(itertools.accumulate(map(len, parts), initial=0))
+        pre, neg, *clauses = map(slice, bounds, bounds[1:])
+        layout = (pre, neg, [clauses[i:i + 3] for i in range(0, len(clauses), 3)])
+        combos = _bindings(schema, consts, list(zip([a.pred for a in atoms[pre]], slots[pre])),
+                           static_preds, init_atoms, init_args, objects_of)
+        rows = [consts + combo for combo in combos]
+        # one C-level pass per atom over all rows, zipped back into rows
+        columns = [map(provisional.setdefault, zip(itertools.repeat(atom.pred),
+                                                   map(_slot_getter(t), rows)), counter)
+                   for atom, t in zip(atoms, slots)]
+        for combo, ids in zip(combos, zip(*columns) if columns else itertools.repeat(())):
+            negated.update(ids[neg])
+            grounded.append(("_".join((schema.name, *combo)), ids, layout))
+    init_ids = [provisional.setdefault(key, next(counter)) for key in init_atoms]
+    goal_pos = [provisional.setdefault((a.pred, a.args), next(counter)) for a in lifted.goal_pos]
+    goal_neg = [provisional.setdefault((a.pred, a.args), next(counter)) for a in lifted.goal_neg]
     negated.update(goal_neg)
 
-    table = FluentTable()
-    final = [0] * len(provisional)
-    for key in sorted(provisional):
-        final[provisional[key]] = table.intern(*key)
-    complement: dict[int, int] = {}
-    for p in sorted(final[p] for p in negated):
-        complement[p] = table.ensure_complement(p, PddlError)
+    keys = sorted(provisional)
+    final = {provisional[key]: fid for fid, key in enumerate(keys)}
+    table = FluentTable.of_keys(keys)
+    complement = {p: table.ensure_complement(p, PddlError)
+                  for p in sorted(final[p] for p in negated)}
+    to_final = final.__getitem__
+    to_comp = {p: complement[final[p]] for p in negated}.__getitem__
 
     init = {final[p] for p in init_ids}
     init = frozenset(init | {neg for p, neg in complement.items() if p not in init})
 
     base = []
     names = set()
-    for name, pos_ids, neg_ids, effect_ids in grounded:
+    for name, ids, (pre, neg, clauses) in grounded:
         if name in names:
             raise PddlError(f"duplicate grounded action name {name}")
         names.add(name)
-        prec = {final[p] for p in pos_ids}
-        prec.update([complement[final[p]] for p in neg_ids])
+        fids = list(map(to_final, ids))
         effects = []
-        for cond, adds, dels in effect_ids:
-            add_ids = frozenset([final[p] for p in adds])
+        for cond, adds, dels in clauses:
+            condition, add_ids = frozenset(fids[cond]), frozenset(fids[adds])
             # adds win inside a single clause
-            del_ids = frozenset([final[p] for p in dels]) - add_ids
-            if cond or add_ids or del_ids or len(effect_ids) == 1:
-                effects.append(Effect(frozenset([final[p] for p in cond]), add_ids, del_ids))
-        base.append(Action(name, frozenset(prec), tuple(effects)))
+            del_ids = frozenset(fids[dels]) - add_ids
+            if condition or add_ids or del_ids or len(clauses) == 1:
+                effects.append(Effect(condition, add_ids, del_ids))
+        base.append(Action(name, frozenset(fids[pre] + list(map(to_comp, ids[neg]))),
+                           tuple(effects)))
 
-    goal = frozenset([final[p] for p in goal_pos] + [complement[final[p]] for p in goal_neg])
+    goal = frozenset(list(map(to_final, goal_pos)) + list(map(to_comp, goal_neg)))
     fluents = frozenset(range(len(table)))
 
-    def naive_reachable():
+    @functools.cache
+    def reachable():
         # every effect deleting p adds its complement: a superset of the
         # adds of the exact maintenance, so its relaxed reachability
         # over-approximates the model's
-        naive = tuple(
-            Action(a.name, a.prec, tuple(
-                Effect(e.condition,
-                       e.adds | {complement[p] for p in e.dels if p in complement},
-                       e.dels)
-                for e in a.effects))
-            for a in base
-        )
+        naive = tuple(Action(a.name, a.prec, tuple(
+            Effect(e.condition, e.adds | {complement[p] for p in e.dels if p in complement},
+                   e.dels) for e in a.effects)) for a in base)
         return relaxed_reachable(PlanningModel(table, fluents, naive, init, goal))
 
-    reachable = functools.cache(naive_reachable)
     if complement:
         base = [maintain_complements(a, complement, table, reachable, PddlError,
                                      "a negative precondition or goal")
@@ -570,32 +559,28 @@ def ground(lifted: LiftedModel) -> PlanningModel:
     return PlanningModel(table, fluents, tuple(base), init, goal)
 
 
-def _templates(atoms, slot) -> list[tuple[str, tuple[int, ...]]]:
-    """Each atom as its predicate and the binding-value slots of its arguments."""
-    return [(atom.pred, tuple([slot[arg] for arg in atom.args])) for atom in atoms]
+def _slot_getter(slots: tuple[int, ...]):
+    """An itemgetter of the binding values at slots, as a tuple also for
+    zero and one slot (a single index would give the value itself)."""
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
+    return operator.itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0, 0))
 
 
-def _instances(templates, values, provisional) -> list[int]:
-    """The provisional ids of templates instantiated with values; an atom
-    not met before is numbered next."""
-    return [provisional.setdefault((pred, tuple([values[x] for x in template])), len(provisional))
-            for pred, template in templates]
-
-
-def _bindings(lifted: LiftedModel, schema: ActionSchema, consts, pos, static_preds,
-              init_atoms, init_args) -> list[tuple[str, ...]]:
+def _bindings(schema: ActionSchema, consts, pos, static_preds, init_atoms, init_args,
+              objects_of) -> list[tuple[str, ...]]:
     """Parameter tuples of schema whose positive static preconditions hold.
 
     Parameters are bound one at a time, in declaration order, and each
-    positive static precondition (template in ``pos``) is tested at its
-    last parameter's level. A level's first test is a join: candidates
-    come from an index of that predicate's init facts keyed by the
-    earlier slots' values, of the parameter's type only, each hit list
-    sorted (objects_of order), so tuples come out in itertools.product
-    order. A variable-free static atom is tested once; a false one
-    empties the schema. Negated static preconditions never prune: an
-    action disabled by them stays in the model so that abstraction can
-    reason about why. Schemas without parameters are kept verbatim.
+    positive static precondition (predicate and slots in ``pos``) is
+    tested at its last parameter's level. A level's first test is a
+    join: candidates come from an index of that predicate's init facts
+    keyed by the earlier slots' values, of the parameter's type only,
+    each hit list sorted (objects_of order), so tuples come out in
+    itertools.product order. A variable-free static atom is tested once;
+    a false one empties the schema. Negated static preconditions never
+    prune (see the module docstring). Schemas without parameters are
+    kept verbatim.
     """
     if not schema.params:
         return [()]
@@ -611,7 +596,7 @@ def _bindings(lifted: LiftedModel, schema: ActionSchema, consts, pos, static_pre
             return []
     combos: list[tuple[str, ...]] = [()]
     for level, ((_, typ), tests) in enumerate(zip(schema.params, checks)):
-        objects = lifted.objects_of(typ)
+        objects = objects_of(typ)
         if not tests:
             combos = [combo + (obj,) for combo in combos for obj in objects]
             continue
@@ -642,12 +627,8 @@ def _bindings(lifted: LiftedModel, schema: ActionSchema, consts, pos, static_pre
 
 
 def _static_predicates(lifted: LiftedModel) -> set[str]:
-    dynamic = set()
-    for schema in lifted.schemas:
-        for e in schema.effects:
-            for atom in e.adds + e.dels:
-                dynamic.add(atom.pred)
-    return set(lifted.predicates) - dynamic
+    return set(lifted.predicates) - {atom.pred for schema in lifted.schemas
+                                     for e in schema.effects for atom in e.adds + e.dels}
 
 
 # ---------------------------------------------------------------------------

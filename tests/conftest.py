@@ -1,4 +1,7 @@
+import functools
 import gc
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,32 @@ from noplan.model import Action, Effect, FluentTable, PlanningModel
 from noplan.pddl import ground, parse_model
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+PERFBENCH = INSTANCES.parent / "perfbench"
+
+
+@functools.cache
+def load_perfbench(name: str):
+    """The module perfbench/<name>.py, loaded from its file and only read."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def pddl_inputs() -> list[tuple[str, str, str]]:
+    """(name, domain text, problem text) of every bundled instance and of
+    every PDDL warm-up input of perfbench seeds 1-10."""
+    out = [(d.name, (d / "domain.pddl").read_text(), (d / "problem.pddl").read_text())
+           for d in sorted(INSTANCES.iterdir())]
+    inputs = load_perfbench("inputs")
+    for workload in inputs.WORKLOADS:
+        for seed in range(1, 11):
+            out += [(f"{inst.name} seed {seed}", inst.domain, inst.problem)
+                    for inst in inputs.generate(workload, seed, small=True) if inst.task is None]
+    return out
 
 
 def cyclic_garbage(call, *args) -> int:

@@ -485,6 +485,47 @@ def brute_force_explanations(lat, members):
     return found
 
 
+def tokenize_two_pass(text: str) -> list[pddl.Tok]:
+    """Every token of text, parentheses included, with its line and column.
+
+    Lines are split at \\n only; a trailing \\r is whitespace.
+    """
+    toks: list[pddl.Tok] = []
+    for ln, line in enumerate(text.split("\n"), start=1):
+        body = line.split(";", 1)[0]
+        for match in pddl._TOKEN_RE.finditer(body):
+            toks.append(pddl.Tok(match.group(0), ln, match.start() + 1))
+    return toks
+
+
+def read_sexprs_two_pass(text: str):
+    """The reader in two passes, a Tok per token and then a stack over them.
+
+    For text whose lines end in \\n or \\r\\n it gives the forms and the
+    PddlError of pddl._read_sexprs.
+    """
+    forms: list = []
+    # each open parenthesis with the items read inside it so far
+    stack: list[tuple[pddl.Tok, list]] = []
+    for tok in tokenize_two_pass(text):
+        if tok.text == "(":
+            if len(stack) == pddl.MAX_DEPTH:
+                raise PddlError(f"parentheses nested deeper than {pddl.MAX_DEPTH}",
+                                tok.line, tok.col)
+            stack.append((tok, []))
+            continue
+        item = tok
+        if tok.text == ")":
+            if not stack:
+                raise PddlError("unexpected ')'", tok.line, tok.col)
+            item = stack.pop()[1]
+        (stack[-1][1] if stack else forms).append(item)
+    if stack:
+        opening = stack[-1][0]
+        raise PddlError("unbalanced parenthesis", opening.line, opening.col)
+    return forms
+
+
 def ground_by_product(lifted: pddl.LiftedModel) -> PlanningModel:
     """pddl.ground by instantiating every type-consistent binding, then filtering.
 
